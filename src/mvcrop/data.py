@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, check_structure
 from .rngutil import named_stream
 from .views import ViewSchema, canonical_schema
 
@@ -393,6 +394,16 @@ _MAGIC = b"MVDS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")  # magic, version, sample count, manifest length
 _BLOCK_DTYPES = {"<f4", "<f8", "<i8"}
+_MANIFEST_SPEC = {
+    "task": str,
+    "classes": int,
+    "split": str,
+    "schemas": [{"name": str, "temporal": bool, "channels": int, "steps": (int, None)}],
+    "blocks": [
+        {"name": str, "kind": str, "dtype": str, "shape": [int], "offset": int, "nbytes": int}
+    ],
+    "strings": dict,
+}
 
 
 def _schema_dict(schema: ViewSchema) -> dict:
@@ -476,6 +487,9 @@ def load_dataset(path) -> Dataset:
         manifest = json.loads(raw[_HEADER.size : _HEADER.size + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable manifest: {exc}") from exc
+    check_structure(manifest, _MANIFEST_SPEC)
+    for key, values in manifest["strings"].items():
+        check_structure(values, [str], f"manifest.strings.{key}")
     data = raw[_HEADER.size + manifest_len :]
 
     decoded = {}
@@ -484,14 +498,14 @@ def load_dataset(path) -> Dataset:
         if dtype_tag not in _BLOCK_DTYPES:
             raise FormatError(f"block {block['name']!r} has unsupported dtype {dtype_tag!r}")
         dtype = np.dtype(dtype_tag)
-        shape = tuple(int(s) for s in block["shape"])
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        shape = tuple(block["shape"])
+        expected = math.prod(shape) * dtype.itemsize
         if block["nbytes"] != expected:
             raise FormatError(
                 f"block {block['name']!r}: manifest says {block['nbytes']} bytes "
                 f"but shape {shape} needs {expected}"
             )
-        start, stop = int(block["offset"]), int(block["offset"]) + expected
+        start, stop = block["offset"], block["offset"] + expected
         if stop > len(data):
             raise FormatError(f"block {block['name']!r} is truncated")
         arr = np.frombuffer(data[start:stop], dtype=dtype).reshape(shape).copy()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -39,7 +40,7 @@ from .fusion import (
 from .kernels import active_backend
 from .metrics import evaluate, grouped_report
 from .rngutil import rep_seed
-from .training import (
+from .training import (  # noqa: F401  (load_checkpoint: public re-export)
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
@@ -510,10 +511,13 @@ def _error_text(exc: Exception) -> str:
 def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
              fingerprint: str, out_dir: Path,
              merge_override: str | None) -> tuple:
+    """Train and score one (cell, repetition): its record row, its timing
+    row, and its test-split probabilities (None when it failed)."""
     train_ds, test_ds = data
     seed = rep_seed(config.seed_base, rep)
     merge = _effective_merge(cell, merge_override)
     parameters = None
+    probabilities = None
     report = None
     checkpoint = ""
     train_seconds = 0.0
@@ -536,7 +540,7 @@ def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
             "seed": seed, "fingerprint": fingerprint})
     except Exception as exc:  # crash isolation: siblings keep running
         status, error = "error", _error_text(exc)
-        report = None
+        probabilities = report = None
         checkpoint = ""
 
     def metric(name):
@@ -565,30 +569,37 @@ def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
               "repetition": rep, "status": status,
               "train_seconds": train_seconds,
               "infer_seconds": infer_seconds}
-    return row, timing
+    return row, timing, probabilities
 
 
 def _execute(cells, data_by_label: dict, config: ExperimentConfig,
-             out_dir: Path, fingerprint: str,
-             merge_override: str | None) -> tuple:
-    tasks = [(index, cell, rep)
-             for index, cell in enumerate(cells)
+             out_dir: Path, fingerprint: str, merge_override: str | None,
+             predictions: dict) -> tuple:
+    """Run every (cell, repetition) in cell-major order.
+
+    The test-split probabilities of each cell's lowest-numbered successful
+    repetition go into ``predictions`` under its checkpoint path, which is
+    all the reports read; the others are dropped as they arrive.
+    """
+    tasks = [(cell, rep) for cell in cells
              for rep in range(config.repetitions)]
 
     def work(task):
-        index, cell, rep = task
-        row, timing = _run_one(cell, rep, data_by_label[cell.label], config,
-                               fingerprint, out_dir, merge_override)
-        return index, rep, row, timing
+        cell, rep = task
+        return _run_one(cell, rep, data_by_label[cell.label], config,
+                        fingerprint, out_dir, merge_override)
 
-    if config.jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(task) for task in tasks]
-    results.sort(key=lambda item: (item[0], item[1]))
-    rows = [row for _, _, row, _ in results]
-    timings = [timing for _, _, _, timing in results]
+    rows, timings, kept = [], [], set()
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        # ``map`` yields in task order, so rows come out cell-major.
+        results = (pool.map(work, tasks) if config.jobs > 1
+                   and len(tasks) > 1 else map(work, tasks))
+        for row, timing, probabilities in results:
+            if row["status"] == "ok" and row["cell"] not in kept:
+                kept.add(row["cell"])
+                predictions[row["checkpoint"]] = probabilities
+            rows.append(row)
+            timings.append(timing)
     return rows, timings, len(tasks)
 
 
@@ -733,8 +744,7 @@ def _per_class_rows(report) -> list:
 
 def _write_reports(out_dir: Path, kind: str, config: ExperimentConfig,
                    cells, rows: list, timings: list, best_cell: str,
-                   data_by_label: dict, cell_by_label: dict,
-                   merge_override: str | None) -> None:
+                   test_ds: Dataset, predictions: dict) -> None:
     reports = out_dir / "reports"
     reports.mkdir(parents=True, exist_ok=True)
 
@@ -746,17 +756,11 @@ def _write_reports(out_dir: Path, kind: str, config: ExperimentConfig,
                 "train_seconds_mean", "infer_seconds_mean"),
                _timing_rows(cells, timings))
 
-    # Best-cell diagnostics: reload its first successful checkpoint and
-    # score the shared test split sample by sample.
-    best_rows = [row for row in rows
-                 if row["cell"] == best_cell and row["status"] == "ok"]
-    source = best_rows[0]
-    cell = cell_by_label[best_cell]
-    train_ds, test_ds = data_by_label[best_cell]
-    model = _build_cell_model(cell, config, train_ds, merge_override)
-    load_checkpoint(model, out_dir / source["checkpoint"])
-    probabilities = _predict_all(model, test_ds, config.train.batch_size)
-
+    # Best-cell diagnostics: its first successful repetition's scores on
+    # the shared test split, sample by sample.
+    source = next(row for row in rows
+                  if row["cell"] == best_cell and row["status"] == "ok")
+    probabilities = predictions[source["checkpoint"]]
     report = evaluate(test_ds.labels, probabilities, test_ds.classes)
     _write_csv(reports / "per_class.csv",
                ("class", "precision", "recall", "f1"),
@@ -806,6 +810,14 @@ def _prepare(dataset, config: ExperimentConfig):
     return dataset, train_part, test_part, out_dir, fingerprint
 
 
+def _numeric_environment() -> dict:
+    """What the numbers of a run depend on besides config and data: the
+    numpy and BLAS builds and the CPU count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version"), "cpu_count": os.cpu_count()}
+
+
 def _write_manifest(out_dir: Path, kind: str, config: ExperimentConfig,
                     fingerprint: str, cells, trainings: int,
                     best_cell: str) -> None:
@@ -813,6 +825,7 @@ def _write_manifest(out_dir: Path, kind: str, config: ExperimentConfig,
         "kind": kind,
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "backend": active_backend(),
+        "environment": _numeric_environment(),
         "package_version": __version__,
         "fingerprint": fingerprint,
         "config": config.to_dict(),
@@ -827,7 +840,7 @@ def _write_manifest(out_dir: Path, kind: str, config: ExperimentConfig,
 def _finalize(kind: str, config: ExperimentConfig, out_dir: Path,
               fingerprint: str, cells, rows: list, timings: list,
               trainings: int, data_by_label: dict,
-              merge_override: str | None) -> RunOutcome:
+              predictions: dict) -> RunOutcome:
     write_records_csv(out_dir / "records.csv", rows)
     if not any(row["status"] == "ok" for row in rows):
         first = next((row["error"] for row in rows if row["error"]),
@@ -836,9 +849,8 @@ def _finalize(kind: str, config: ExperimentConfig, out_dir: Path,
     best = best_cell_label(rows, config.selection_metric)
     _write_manifest(out_dir, kind, config, fingerprint, cells, trainings,
                     best)
-    cell_by_label = {cell.label: cell for cell in cells}
     _write_reports(out_dir, kind, config, cells, rows, timings, best,
-                   data_by_label, cell_by_label, merge_override)
+                   data_by_label[best][1], predictions)
     return RunOutcome(records=tuple(rows), cells=tuple(cells),
                       trainings_executed=trainings, best_cell=best,
                       output_dir=str(out_dir))
@@ -850,10 +862,11 @@ def run_cell(dataset, config: ExperimentConfig) -> RunOutcome:
                                                               config)
     cells = (CellSpec(config.encoder, config.strategy, config.component),)
     data = {cells[0].label: (train_part, test_part)}
+    predictions: dict = {}
     rows, timings, executed = _execute(cells, data, config, out_dir,
-                                       fingerprint, config.merge)
+                                       fingerprint, config.merge, predictions)
     return _finalize("cell", config, out_dir, fingerprint, cells, rows,
-                     timings, executed, data, config.merge)
+                     timings, executed, data, predictions)
 
 
 def run_grid(dataset, config: ExperimentConfig) -> RunOutcome:
@@ -868,8 +881,9 @@ def run_grid(dataset, config: ExperimentConfig) -> RunOutcome:
     base_cells = tuple(cell for cell in planned if cell.component == "none")
 
     data = {cell.label: (train_part, test_part) for cell in planned}
+    predictions: dict = {}
     rows, timings, executed = _execute(base_cells, data, config, out_dir,
-                                       fingerprint, None)
+                                       fingerprint, None, predictions)
     if config.component_encoder != "best":
         resolved = config.component_encoder
     else:
@@ -885,10 +899,11 @@ def run_grid(dataset, config: ExperimentConfig) -> RunOutcome:
     data.update({cell.label: (train_part, test_part)
                  for cell in component_cells})
     comp_rows, comp_timings, comp_executed = _execute(
-        component_cells, data, config, out_dir, fingerprint, None)
+        component_cells, data, config, out_dir, fingerprint, None,
+        predictions)
     return _finalize("grid", config, out_dir, fingerprint, cells,
                      rows + comp_rows, timings + comp_timings,
-                     executed + comp_executed, data, None)
+                     executed + comp_executed, data, predictions)
 
 
 def run_search(dataset, config: ExperimentConfig) -> RunOutcome:
@@ -902,8 +917,9 @@ def run_search(dataset, config: ExperimentConfig) -> RunOutcome:
     phase1 = tuple(cell for cell in planned if cell.phase == "phase1")
 
     data = {cell.label: (train_part, test_part) for cell in phase1}
+    predictions: dict = {}
     rows, timings, executed = _execute(phase1, data, config, out_dir,
-                                       fingerprint, None)
+                                       fingerprint, None, predictions)
 
     failed = sorted({cell.encoder for cell in phase1
                      if not any(row["cell"] == cell.label
@@ -937,7 +953,7 @@ def run_search(dataset, config: ExperimentConfig) -> RunOutcome:
 
     data.update({cell.label: (train_part, test_part) for cell in phase2})
     more_rows, more_timings, more_executed = _execute(
-        trainable, data, config, out_dir, fingerprint, None)
+        trainable, data, config, out_dir, fingerprint, None, predictions)
 
     index = {(cell.phase, cell.label): i for i, cell in enumerate(cells)}
     all_rows = sorted(rows + reused_rows + more_rows,
@@ -946,7 +962,7 @@ def run_search(dataset, config: ExperimentConfig) -> RunOutcome:
     all_timings = timings + reused_timings + more_timings
     return _finalize("search", config, out_dir, fingerprint, cells,
                      all_rows, all_timings, executed + more_executed, data,
-                     None)
+                     predictions)
 
 
 def single_view_baselines(dataset, config: ExperimentConfig) -> RunOutcome:
@@ -958,10 +974,11 @@ def single_view_baselines(dataset, config: ExperimentConfig) -> RunOutcome:
     data = {cell.label: (train_part.restrict([cell.view]),
                          test_part.restrict([cell.view]))
             for cell in cells}
+    predictions: dict = {}
     rows, timings, executed = _execute(cells, data, config, out_dir,
-                                       fingerprint, config.merge)
+                                       fingerprint, config.merge, predictions)
     return _finalize("baselines", config, out_dir, fingerprint, cells, rows,
-                     timings, executed, data, config.merge)
+                     timings, executed, data, predictions)
 
 
 def _read_predictions(path) -> tuple:

@@ -1,45 +1,14 @@
 """Hot numeric kernels: same-padded 1-d convolution forward/backward.
 
-Two interchangeable implementations are provided for each kernel:
-
-* ``*_numba``: explicit loops compiled with ``numba.njit`` (the default when
-  numba imports cleanly),
-* ``*_numpy``: a vectorized stride-tricks + einsum fallback.
-
-The active backend is chosen once at import time. Set ``MVCROP_NUMBA=0`` to
-force the numpy fallback. ``active_backend()`` reports which one is live.
-All kernels take and return C-contiguous float64 arrays and are deterministic
-within a backend.
+Each kernel is a stride-tricks window view contracted with ``np.einsum``.
+All kernels take and return C-contiguous float64 arrays and are
+deterministic.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-try:
-    if os.environ.get("MVCROP_NUMBA", "1") == "0":
-        raise ImportError("numba disabled via MVCROP_NUMBA=0")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback
-# ---------------------------------------------------------------------------
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
     """Read-only ``[B, T, C, k]`` view of the k-wide time windows of ``x``
@@ -53,111 +22,22 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
     return as_strided(xp, (bs, t_len, chans, k), (s_b, s_t, s_c, s_t), writeable=False)
 
 
-def conv1d_forward_numpy(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x: [B,T,Ci], w: [Co,Ci,k], b: [Co] -> y: [B,T,Co] (zero padded, stride 1)."""
     return np.einsum("btcj,ocj->bto", _windows(x, w.shape[2]), w, optimize=True) + b
 
 
-def conv1d_grad_input_numpy(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
+def conv1d_grad_input(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
     """gy: [B,T,Co], w: [Co,Ci,k] -> gx: [B,T,Ci]."""
     windows = _windows(gy, w.shape[2])  # [B,T,Co,k]
     return np.einsum("btoj,ocj->btc", windows, w[:, :, ::-1], optimize=True)
 
 
-def conv1d_grad_kernel_numpy(x: np.ndarray, gy: np.ndarray, k: int) -> np.ndarray:
+def conv1d_grad_kernel(x: np.ndarray, gy: np.ndarray, k: int) -> np.ndarray:
     """x: [B,T,Ci], gy: [B,T,Co] -> gw: [Co,Ci,k]."""
     return np.einsum("bto,btcj->ocj", gy, _windows(x, k), optimize=True)
 
 
-# ---------------------------------------------------------------------------
-# numba loops
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _conv1d_forward_loops(x, w, b, out):
-    bs, t_len, c_in = x.shape
-    c_out, _, k = w.shape
-    pad = k // 2
-    for n in range(bs):
-        for t in range(t_len):
-            for o in range(c_out):
-                acc = b[o]
-                for j in range(k):
-                    s = t + j - pad
-                    if 0 <= s < t_len:
-                        for c in range(c_in):
-                            acc += x[n, s, c] * w[o, c, j]
-                out[n, t, o] = acc
-
-
-@njit(cache=True)
-def _conv1d_grad_input_loops(gy, w, gx):
-    bs, t_len, c_out = gy.shape
-    _, c_in, k = w.shape
-    pad = k // 2
-    for n in range(bs):
-        for s in range(t_len):
-            for c in range(c_in):
-                acc = 0.0
-                for j in range(k):
-                    t = s - j + pad
-                    if 0 <= t < t_len:
-                        for o in range(c_out):
-                            acc += gy[n, t, o] * w[o, c, j]
-                gx[n, s, c] = acc
-
-
-@njit(cache=True)
-def _conv1d_grad_kernel_loops(x, gy, gw):
-    bs, t_len, c_in = x.shape
-    c_out = gy.shape[2]
-    k = gw.shape[2]
-    pad = k // 2
-    for o in range(c_out):
-        for c in range(c_in):
-            for j in range(k):
-                acc = 0.0
-                for n in range(bs):
-                    for t in range(t_len):
-                        s = t + j - pad
-                        if 0 <= s < t_len:
-                            acc += gy[n, t, o] * x[n, s, c]
-                gw[o, c, j] = acc
-
-
-def conv1d_forward_numba(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty((x.shape[0], x.shape[1], w.shape[0]), dtype=np.float64)
-    _conv1d_forward_loops(
-        np.ascontiguousarray(x), np.ascontiguousarray(w), np.ascontiguousarray(b), out
-    )
-    return out
-
-
-def conv1d_grad_input_numba(gy: np.ndarray, w: np.ndarray) -> np.ndarray:
-    gx = np.empty((gy.shape[0], gy.shape[1], w.shape[1]), dtype=np.float64)
-    _conv1d_grad_input_loops(np.ascontiguousarray(gy), np.ascontiguousarray(w), gx)
-    return gx
-
-
-def conv1d_grad_kernel_numba(x: np.ndarray, gy: np.ndarray, k: int) -> np.ndarray:
-    gw = np.empty((gy.shape[2], x.shape[2], k), dtype=np.float64)
-    _conv1d_grad_kernel_loops(np.ascontiguousarray(x), np.ascontiguousarray(gy), gw)
-    return gw
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    conv1d_forward = conv1d_forward_numba
-    conv1d_grad_input = conv1d_grad_input_numba
-    conv1d_grad_kernel = conv1d_grad_kernel_numba
-else:
-    conv1d_forward = conv1d_forward_numpy
-    conv1d_grad_input = conv1d_grad_input_numpy
-    conv1d_grad_kernel = conv1d_grad_kernel_numpy
-
-
 def active_backend() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the conv kernel path, recorded in every run manifest."""
+    return "numpy"

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError, check_structure
 from .fusion import EnsembleModel, multi_loss
 from .rngutil import member_seed, named_stream
 from .tensor import Parameter, Tape, Tensor, backward, weighted_nll
@@ -395,6 +395,7 @@ def train_ensemble(model, dataset: Dataset, config: TrainConfig) -> dict:
 _CKPT_MAGIC = b"MVLC"
 _CKPT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sIQ")  # magic, version, manifest length
+_CKPT_SPEC = {"entries": [{"name": str, "kind": str, "shape": [int]}], "extra": dict}
 
 
 def save_checkpoint(model, path, extra: dict | None = None) -> None:
@@ -440,6 +441,7 @@ def load_checkpoint(model, path) -> dict:
         )
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable checkpoint manifest: {exc}") from exc
+    check_structure(manifest, _CKPT_SPEC, "checkpoint manifest")
 
     params = model.named_parameters()
     buffers = model.named_buffers()

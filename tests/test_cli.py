@@ -2,6 +2,7 @@
 run-directory layout, report re-emission, and the 0/1/2 exit-code contract."""
 
 import json
+import struct
 import subprocess
 import sys
 
@@ -136,6 +137,26 @@ class TestEntropy:
                                str(tmp_path / "nope.mvds"))
         assert code == 1
         assert err
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: [m],
+        lambda m: {k: v for k, v in m.items() if k != "blocks"},
+        lambda m: {**m, "blocks": [{**m["blocks"][0], "offset": -4}]
+                   + m["blocks"][1:]},
+        lambda m: {**m, "blocks": [{**m["blocks"][0], "shape": ["x"]}]
+                   + m["blocks"][1:]},
+    ], ids=["json_list", "no_blocks", "negative_offset", "non_integer_shape"])
+    def test_malformed_container_is_validation_error(self, capsys, data_path,
+                                                     tmp_path, edit):
+        raw = data_path.read_bytes()
+        manifest_len = struct.unpack("<Q", raw[16:24])[0]
+        body = json.dumps(edit(json.loads(raw[24:24 + manifest_len])))
+        path = tmp_path / "bad.mvds"
+        path.write_bytes(raw[:16] + struct.pack("<Q", len(body))
+                         + body.encode() + raw[24 + manifest_len:])
+        code, _, err = run_cli(capsys, "entropy", "--data", str(path))
+        assert code == 1
+        assert "mvcrop: error:" in err
 
 
 class TestImport:

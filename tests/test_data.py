@@ -493,6 +493,66 @@ class TestContainer:
             load_dataset(tmp_path / "absent.mvds")
 
 
+def rewrite_manifest(path, edit):
+    """Replace the JSON manifest of the container at ``path`` with
+    ``edit(manifest)``, fixing the header's manifest length."""
+    raw = path.read_bytes()
+    manifest_len = struct.unpack("<Q", raw[16:24])[0]
+    manifest = json.loads(raw[24 : 24 + manifest_len].decode("utf-8"))
+    body = json.dumps(edit(manifest)).encode("utf-8")
+    path.write_bytes(raw[:16] + struct.pack("<Q", len(body)) + body
+                     + raw[24 + manifest_len :])
+
+
+def _set_block(**fields):
+    def edit(manifest):
+        manifest["blocks"][0].update(fields)
+        return manifest
+    return edit
+
+
+def _drop(key):
+    def edit(manifest):
+        del manifest[key]
+        return manifest
+    return edit
+
+
+# Each edit must end in FormatError; most once escaped load_dataset as a
+# ValueError, KeyError or TypeError.
+MALFORMED_MANIFESTS = {
+    "negative_offset": _set_block(offset=-4),
+    "no_blocks": _drop("blocks"),
+    "json_list": lambda manifest: [manifest],
+    "non_integer_shape": _set_block(shape=["x", 11, 12]),
+    "fractional_shape": _set_block(shape=[2.5, 11, 12]),
+    "bool_offset": _set_block(offset=True),
+    "block_not_object": lambda m: {**m, "blocks": [7]},
+    "schema_not_object": lambda m: {**m, "schemas": ["optical"]},
+    "task_not_string": lambda m: {**m, "task": ["binary"]},
+    "strings_not_lists": lambda m: {**m, "strings": {"country": 3}},
+    "offset_past_payload": _set_block(offset=1 << 40),
+    # 2**64 elements wrap to 0 in int64 arithmetic
+    "overflowing_shape": _set_block(shape=[1 << 32, 1 << 32, 1], nbytes=0),
+}
+
+
+class TestMalformedManifest:
+    def test_untouched_rewrite_loads(self, tmp_path):
+        path = tmp_path / "d.mvds"
+        save_dataset(tiny_dataset(), path)
+        rewrite_manifest(path, lambda manifest: manifest)
+        assert_datasets_equal(tiny_dataset(), load_dataset(path))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_rejected_as_format_error(self, case, tmp_path):
+        path = tmp_path / "d.mvds"
+        save_dataset(tiny_dataset(), path)
+        rewrite_manifest(path, MALFORMED_MANIFESTS[case])
+        with pytest.raises(FormatError):
+            load_dataset(path)
+
+
 # ---------------------------------------------------------------------------
 # CSV interchange
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ rules, records/summary CSV round trips, and report emission."""
 
 import dataclasses
 import json
+import os
 import time
 
 import numpy as np
@@ -562,7 +563,16 @@ class TestRunCell:
         assert manifest["trainings_executed"] == 2
         assert manifest["best_cell"] == outcome.best_cell
         assert manifest["config"]["seed_base"] == config.seed_base
-        assert manifest["backend"] in ("numba", "numpy")
+        assert manifest["backend"] == "numpy"
+
+    def test_manifest_records_numeric_environment(self, cell_run):
+        _, out, _ = cell_run
+        environment = json.loads((out / "manifest").read_text())["environment"]
+        assert sorted(environment) == ["blas", "blas_version", "cpu_count",
+                                       "numpy"]
+        assert environment["numpy"] == np.__version__
+        assert environment["cpu_count"] == os.cpu_count()
+        assert isinstance(environment["blas"], str)
 
     def test_records_csv_matches_outcome(self, cell_run):
         outcome, out, _ = cell_run
@@ -946,6 +956,142 @@ class TestGroupedReporting:
         reports = tmp_path / "reports"
         assert not (reports / "per_year.csv").exists()
         assert (reports / "summary.csv").is_file()
+
+
+# ---------------------------------------------------------------------------
+# best-cell reports come from the run's own test-split scores
+# ---------------------------------------------------------------------------
+
+
+def reloaded_report_files(outcome, out, config, dataset, dump_dir):
+    """``predictions.csv`` and ``per_class.csv`` built the long way: reload
+    the best cell's first successful checkpoint and score the test split."""
+    import mvcrop.experiments as exp
+    from mvcrop.metrics import evaluate
+    from mvcrop.training import load_checkpoint
+
+    source = next(r for r in outcome.records
+                  if r["cell"] == outcome.best_cell and r["status"] == "ok")
+    cell = next(c for c in outcome.cells if c.label == outcome.best_cell)
+    train_part, test_part = stratified_split(dataset, config.test_fraction,
+                                             config.seed_base)
+    model = exp._build_cell_model(cell, config, train_part, config.merge)
+    load_checkpoint(model, out / source["checkpoint"])
+    probabilities = exp._predict_all(model, test_part,
+                                     config.train.batch_size)
+    dump_dir.mkdir()
+    report = evaluate(test_part.labels, probabilities, test_part.classes)
+    exp._write_csv(dump_dir / "per_class.csv",
+                   ("class", "precision", "recall", "f1"),
+                   exp._per_class_rows(report))
+    columns, rows = exp._per_sample_rows(test_part.labels, probabilities,
+                                         test_part.metadata)
+    exp._write_csv(dump_dir / "predictions.csv", columns, rows)
+    return dump_dir
+
+
+def assert_reports_match_reload(outcome, out, config, dataset, dump_dir):
+    dump = reloaded_report_files(outcome, out, config, dataset, dump_dir)
+    for name in ("predictions.csv", "per_class.csv"):
+        assert (out / "reports" / name).read_bytes() == \
+            (dump / name).read_bytes(), name
+
+
+class TestReportsFromRunScores:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import mvcrop.experiments as exp
+
+        calls = {"predict": 0, "load": 0}
+        predict = exp._predict_all
+
+        def counting_predict(*args):
+            calls["predict"] += 1
+            return predict(*args)
+
+        def counting_load(*args):
+            calls["load"] += 1
+            raise AssertionError("reports must not reload a checkpoint")
+
+        monkeypatch.setattr(exp, "_predict_all", counting_predict)
+        monkeypatch.setattr(exp, "load_checkpoint", counting_load)
+        return calls
+
+    def test_cell_scores_each_repetition_once(self, counted, tiny_dataset,
+                                              tmp_path):
+        outcome = run_cell(tiny_dataset,
+                           tiny_config(tmp_path, repetitions=2))
+        assert outcome.trainings_executed == 2
+        assert counted == {"predict": 2, "load": 0}
+
+    def test_search_scores_each_training_once(self, counted, tiny_dataset,
+                                              tmp_path):
+        outcome = run_search(tiny_dataset, tiny_config(tmp_path))
+        assert outcome.trainings_executed == 15
+        assert counted == {"predict": 15, "load": 0}
+
+    def test_cell_reports_equal_reload(self, cell_run, tiny_dataset,
+                                       tmp_path):
+        assert_reports_match_reload(*cell_run, tiny_dataset, tmp_path / "d")
+
+    def test_grid_with_two_jobs_reports_equal_reload(self, tiny_dataset,
+                                                     tmp_path):
+        config = tiny_config(tmp_path / "run", jobs=2)
+        outcome = run_grid(tiny_dataset, config)
+        assert_reports_match_reload(outcome, tmp_path / "run", config,
+                                    tiny_dataset, tmp_path / "d")
+
+    def test_search_reports_equal_reload(self, search_run, tiny_dataset,
+                                         tmp_path):
+        assert_reports_match_reload(*search_run, tiny_dataset,
+                                    tmp_path / "d")
+
+    def test_only_first_successful_repetition_is_kept(
+            self, tiny_dataset, tmp_path, monkeypatch):
+        import mvcrop.experiments as exp
+
+        fit = exp._fit
+
+        def fail_first(cell, model, dataset, config):
+            if config.seed == rep_seed(3, 0):
+                raise RuntimeError("first repetition lost")
+            return fit(cell, model, dataset, config)
+
+        monkeypatch.setattr(exp, "_fit", fail_first)
+        config = tiny_config(tmp_path, repetitions=3, jobs=2)
+        train_part, test_part = stratified_split(tiny_dataset, 0.3, 3)
+        cells = (CellSpec("GRU", "Feature"), CellSpec("TAE", "Input"))
+        (tmp_path / "checkpoints").mkdir()
+        predictions = {}
+        rows, _, executed = exp._execute(
+            cells, {c.label: (train_part, test_part) for c in cells},
+            config, tmp_path, "fp", None, predictions)
+        assert executed == 6
+        assert [(r["cell"], r["repetition"]) for r in rows] == [
+            (c.label, rep) for c in cells for rep in range(3)]
+        assert list(predictions) == [rows[1]["checkpoint"],
+                                     rows[4]["checkpoint"]]
+        assert all(p.shape == (len(test_part), 2)
+                   for p in predictions.values())
+
+    def test_reports_use_first_successful_repetition(
+            self, tiny_dataset, tmp_path, monkeypatch):
+        import mvcrop.experiments as exp
+
+        fit = exp._fit
+        failing_seed = rep_seed(3, 0)
+
+        def fail_first(cell, model, dataset, config):
+            if config.seed == failing_seed:
+                raise RuntimeError("first repetition lost")
+            return fit(cell, model, dataset, config)
+
+        monkeypatch.setattr(exp, "_fit", fail_first)
+        config = tiny_config(tmp_path / "run", repetitions=3)
+        outcome = run_cell(tiny_dataset, config)
+        assert [r["status"] for r in outcome.records] == ["error", "ok", "ok"]
+        assert_reports_match_reload(outcome, tmp_path / "run", config,
+                                    tiny_dataset, tmp_path / "d")
 
 
 # ---------------------------------------------------------------------------

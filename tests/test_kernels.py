@@ -1,4 +1,4 @@
-"""Convolution kernels against brute-force oracles, numba vs numpy parity."""
+"""Convolution kernels against brute-force oracles and finite differences."""
 import numpy as np
 import pytest
 
@@ -24,13 +24,10 @@ def conv1d_oracle(x, w, b):
     return out
 
 
-FORWARDS = [kernels.conv1d_forward_numpy]
-GRAD_INPUTS = [kernels.conv1d_grad_input_numpy]
-GRAD_KERNELS = [kernels.conv1d_grad_kernel_numpy]
-if kernels.HAS_NUMBA:
-    FORWARDS.append(kernels.conv1d_forward_numba)
-    GRAD_INPUTS.append(kernels.conv1d_grad_input_numba)
-    GRAD_KERNELS.append(kernels.conv1d_grad_kernel_numba)
+# Ids name each kernel with its backend, numpy, the only one.
+FORWARDS = [pytest.param(kernels.conv1d_forward, id="conv1d_forward_numpy")]
+GRAD_PAIRS = [pytest.param(kernels.conv1d_grad_input, kernels.conv1d_grad_kernel,
+                           id="conv1d_grad_input_numpy-conv1d_grad_kernel_numpy")]
 
 
 @pytest.fixture(scope="module")
@@ -63,36 +60,16 @@ class TestForward:
         np.testing.assert_allclose(fwd(x, w, np.zeros(3)), x, atol=1e-15)
 
 
-class TestBackendParity:
-    """numba and numpy implementations agree to machine precision."""
-
-    @pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not active")
-    def test_all_three_kernels_agree(self, rng):
-        x = rng.standard_normal((4, 12, 5))
-        w = rng.standard_normal((7, 5, 5))
-        b = rng.standard_normal(7)
-        gy = rng.standard_normal((4, 12, 7))
-        np.testing.assert_allclose(
-            kernels.conv1d_forward_numba(x, w, b),
-            kernels.conv1d_forward_numpy(x, w, b), atol=1e-12)
-        np.testing.assert_allclose(
-            kernels.conv1d_grad_input_numba(gy, w),
-            kernels.conv1d_grad_input_numpy(gy, w), atol=1e-12)
-        np.testing.assert_allclose(
-            kernels.conv1d_grad_kernel_numba(x, gy, 5),
-            kernels.conv1d_grad_kernel_numpy(x, gy, 5), atol=1e-12)
-
-
 class TestGradientsAgainstDifferences:
     """Backward kernels equal finite differences of the forward kernel."""
 
-    @pytest.mark.parametrize("gi,gk", list(zip(GRAD_INPUTS, GRAD_KERNELS)))
+    @pytest.mark.parametrize("gi,gk", GRAD_PAIRS)
     def test_grads_match_numeric(self, gi, gk, rng):
         x = rng.standard_normal((2, 6, 3))
         w = rng.standard_normal((4, 3, 3))
         b = rng.standard_normal(4)
         proj = rng.standard_normal((2, 6, 4))  # random scalarisation
-        loss = lambda xx, ww: float((kernels.conv1d_forward_numpy(xx, ww, b) * proj).sum())
+        loss = lambda xx, ww: float((kernels.conv1d_forward(xx, ww, b) * proj).sum())
 
         gx = gi(proj, w)
         gw = gk(x, proj, 3)

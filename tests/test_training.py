@@ -3,6 +3,8 @@ cross-entropy, the Adam optimizer, validation splitting, early stopping,
 the training loop, ensemble training, and checkpoints."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -677,3 +679,26 @@ class TestCheckpoint:
         other.initialize(0)
         with pytest.raises(FormatError):
             load_checkpoint(other, path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: [m],
+        lambda m: {k: v for k, v in m.items() if k != "entries"},
+        lambda m: {**m, "entries": {"name": "w"}},
+        lambda m: {**m, "entries": [7] + m["entries"][1:]},
+        lambda m: {**m, "entries": [{**m["entries"][0], "shape": ["x"]}] + m["entries"][1:]},
+        lambda m: {**m, "entries": [{**m["entries"][0], "shape": [-1]}] + m["entries"][1:]},
+        lambda m: {**m, "extra": [1]},
+    ], ids=["json_list", "no_entries", "entries_not_list", "entry_not_object",
+            "non_integer_shape", "negative_shape", "extra_not_object"])
+    def test_malformed_manifest_rejected(self, edit, tmp_path):
+        _, model = self.build()
+        path = tmp_path / "model.mvlc"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        manifest_len = struct.unpack("<Q", raw[8:16])[0]
+        manifest = json.loads(raw[16 : 16 + manifest_len])
+        body = json.dumps(edit(manifest)).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(body)) + body
+                         + raw[16 + manifest_len :])
+        with pytest.raises(FormatError):
+            load_checkpoint(model, path)
