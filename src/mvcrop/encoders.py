@@ -19,14 +19,13 @@ from .tensor import (
     Parameter,
     Tensor,
     as_tensor,
+    attention_pool,
     gru_sequence,
     lstm_sequence,
     narrow,
     reduce_mean,
-    reduce_sum,
     relu,
     reshape,
-    softmax,
 )
 from .views import ViewSchema
 
@@ -279,22 +278,6 @@ def positional_encoding(steps: int, dim: int) -> np.ndarray:
     idx = np.arange(dim)[None, :]
     angles = pos / np.power(10000.0, (2 * (idx // 2)) / dim)
     return np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
-
-
-def attention_pool(query: Tensor, keys: Tensor, values: Tensor,
-                   key_dim: int) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product pooling over the time axis.
-
-    ``query`` broadcasts against ``keys [B, T, H, key_dim]``; ``values`` is
-    ``[B, T, H, W]``. Returns (pooled ``[B, H, W]``, weights ``[B, T, H]``)
-    where the weights are a softmax over T.
-    """
-    scores = reduce_sum(keys * query, axis=3) * (1.0 / np.sqrt(key_dim))
-    weights = softmax(scores, axis=1)
-    batch, steps, heads = weights.shape
-    expanded = reshape(weights, (batch, steps, heads, 1))
-    pooled = reduce_sum(expanded * values, axis=1)
-    return pooled, weights
 
 
 class AttentionEncoder(Encoder):

@@ -678,36 +678,38 @@ def _timing_rows(cells, timings: list) -> list:
     return rows
 
 
-def _per_sample_rows(labels: np.ndarray, probabilities: np.ndarray,
-                     metadata: dict) -> tuple:
+def _column_cells(values: np.ndarray) -> list:
+    """A column's CSV cells: ``repr`` of floats, ``str`` of integers and
+    strings, as ``_format_value`` formats each value."""
+    return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+
+
+def _write_predictions_csv(path, labels: np.ndarray, probabilities: np.ndarray,
+                           metadata: dict) -> None:
+    """One row per sample: its metadata, true and predicted label, maximum
+    probability, normalised entropy and class probabilities. The cells are
+    formatted column by column."""
     classes = probabilities.shape[1]
     predicted = probabilities.argmax(axis=1)
-    max_probability = probabilities.max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(probabilities > 0.0,
                          probabilities * np.log(probabilities), 0.0)
     entropy = -terms.sum(axis=1) / np.log(classes)
     meta_columns = [key for key in _PREDICTION_METADATA if key in metadata]
-    columns = (["index"] + meta_columns
-               + ["true_label", "predicted_label", "correct",
-                  "max_probability", "entropy"]
-               + [f"prob_{k}" for k in range(classes)])
-    rows = []
-    for i in range(labels.shape[0]):
-        row = {"index": i}
-        for key in meta_columns:
-            value = metadata[key][i]
-            row[key] = (str(value) if metadata[key].dtype.kind == "U"
-                        else value.item())
-        row["true_label"] = int(labels[i])
-        row["predicted_label"] = int(predicted[i])
-        row["correct"] = int(predicted[i] == labels[i])
-        row["max_probability"] = float(max_probability[i])
-        row["entropy"] = float(entropy[i])
-        for k in range(classes):
-            row[f"prob_{k}"] = float(probabilities[i, k])
-        rows.append(row)
-    return columns, rows
+    header = (["index"] + meta_columns
+              + ["true_label", "predicted_label", "correct",
+                 "max_probability", "entropy"]
+              + [f"prob_{k}" for k in range(classes)])
+    columns = ([_column_cells(np.arange(labels.shape[0]))]
+               + [_column_cells(metadata[key]) for key in meta_columns]
+               + [_column_cells(labels), _column_cells(predicted),
+                  _column_cells((predicted == labels).astype(np.int64)),
+                  _column_cells(probabilities.max(axis=1)), _column_cells(entropy)]
+               + [_column_cells(column) for column in probabilities.T])
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 def _check_group_fields(metadata: dict, group_by) -> None:
@@ -771,9 +773,8 @@ def _write_reports(out_dir: Path, kind: str, config: ExperimentConfig,
                     "f1_macro"),
                    _grouped_rows(test_ds.labels, probabilities,
                                  test_ds.metadata, key, test_ds.classes))
-    columns, sample_rows = _per_sample_rows(test_ds.labels, probabilities,
-                                            test_ds.metadata)
-    _write_csv(reports / "predictions.csv", columns, sample_rows)
+    _write_predictions_csv(reports / "predictions.csv", test_ds.labels,
+                           probabilities, test_ds.metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Hot numeric kernels: same-padded 1-d convolution forward/backward.
 
 Each kernel is a stride-tricks window view contracted with ``np.einsum``.
-All kernels take and return C-contiguous float64 arrays and are
-deterministic.
+The kernels take float64 arrays and are deterministic. They return the
+einsum's result as it is laid out, not C-contiguous: a forward output of
+shape ``[128, 12, 64]`` has strides ``(96, 8, 12288)``, channels outermost.
+Reductions downstream take their summation order from that layout, so a
+copy into C order could change their bits.
 """
 from __future__ import annotations
 

@@ -252,8 +252,10 @@ def linear(x, w, b) -> Tensor:
         raise ShapeError(f"linear shapes do not fit: {xd.shape} @ {wd.shape} + {bd.shape}")
     flat = xd.ndim != 2
     x2 = xd.reshape(-1, wd.shape[0]) if flat else xd
-    # ndarray.dot: the same GEMM as @ with a third of its call overhead
-    y = x2.dot(wd) + bd
+    # ndarray.dot: the same GEMM as @ with a third of its call overhead; the
+    # bias is added in place, so no second [rows, out] array is allocated
+    y = x2.dot(wd)
+    y += bd
     out = _make(y.reshape(xd.shape[:-1] + wd.shape[1:]) if flat else y)
     if _recording(x, w, b):
         def backward(g: Array):
@@ -289,10 +291,13 @@ def conv1d_same(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if _recording(x, w, b):
         def backward(g: Array):
             g3 = g[None, :, :] if squeeze else g
-            gx = kernels.conv1d_grad_input(g3, w.data)
+            gx = None
+            if x.requires_grad:  # a raw-data input needs none
+                gx = kernels.conv1d_grad_input(g3, w.data)
+                gx = gx[0] if squeeze else gx
             gw = kernels.conv1d_grad_kernel(x3, g3, k)
             gb = g3.sum(axis=(0, 1))
-            return (gx[0] if squeeze else gx, gw, gb)
+            return (gx, gw, gb)
 
         _record((x, w, b), out, backward)
     return out
@@ -501,6 +506,48 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid, h0=None, c0=None) -> tuple[Tensor
 
 
 # ---------------------------------------------------------------------------
+# attention pooling
+# ---------------------------------------------------------------------------
+
+def attention_pool(query, keys, values, key_dim: int) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product pooling over the time axis as one record.
+
+    ``keys`` is ``[B, T, H, key_dim]``, ``query`` is ``[B, 1, H, key_dim]``
+    or ``[1, 1, H, key_dim]`` and ``values`` is ``[B, T, H, W]``. Returns
+    pooled ``[B, H, W]`` and the weights ``[B, T, H]``, a softmax over T of
+    ``keys . query / sqrt(key_dim)``. The weights are an untracked tensor.
+
+    The record keeps no broadcast product for ``backward``. Forward and
+    backward make the numpy calls of the elementary graph (mul, reduce_sum,
+    scale, softmax, mul, reduce_sum) on the same operand layouts, so outputs
+    and gradients are bit-identical to that graph's. A loop over time would
+    not be: numpy may sum the time axis pairwise.
+    """
+    query, keys, values = as_tensor(query), as_tensor(keys), as_tensor(values)
+    q, k, v = query.data, keys.data, values.data
+    if k.ndim != 4 or k.shape[3] != key_dim:
+        raise ShapeError(f"attention keys must be [B, T, H, {key_dim}], got {k.shape}")
+    batch, steps, heads = k.shape[:3]
+    if q.shape not in ((batch, 1, heads, key_dim), (1, 1, heads, key_dim)):
+        raise ShapeError(f"attention query must be [{batch} or 1, 1, {heads}, "
+                         f"{key_dim}], got {q.shape}")
+    if v.ndim != 4 or v.shape[:3] != (batch, steps, heads):
+        raise ShapeError(f"attention values must be [{batch}, {steps}, {heads}, W], "
+                         f"got {v.shape}")
+    scale = 1.0 / np.sqrt(key_dim)
+    w = _softmax(np.add.reduce(k * q, axis=3) * scale, 1)
+    pooled = _make(np.add.reduce(w[..., None] * v, axis=1))
+    if _recording(query, keys, values):
+        def backward(g: Array):
+            g = g[:, None]
+            d = (_softmax_grad(np.add.reduce(g * v, axis=3), w, 1) * scale)[..., None]
+            return (_unbroadcast(d * k, q.shape), d * q, g * w[..., None])
+
+        _record((query, keys, values), pooled, backward)
+    return pooled, _make(w)
+
+
+# ---------------------------------------------------------------------------
 # activations and softmax
 # ---------------------------------------------------------------------------
 
@@ -542,17 +589,22 @@ def activation(x, kind: str) -> Tensor:
     return fn(x)
 
 
+def _softmax(x: Array, axis: int) -> Array:
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
+
+
+def _softmax_grad(g: Array, y: Array, axis: int) -> Array:
+    """Gradient of the softmax input, given output ``y`` and its gradient."""
+    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+
+
 def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    e = np.exp(x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True))
-    y = e / np.add.reduce(e, axis=axis, keepdims=True)
+    y = _softmax(x.data, axis)
     out = _make(y)
     if _recording(x):
-        def backward(g: Array):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            return ((g - dot) * y,)
-
-        _record((x,), out, backward)
+        _record((x,), out, lambda g: (_softmax_grad(g, y, axis),))
     return out
 
 

@@ -323,6 +323,29 @@ class TestTempCNN:
                            rng.standard_normal((2, 12, 2)))
         assert res.ok, res.max_rel_err
 
+    def test_raw_input_gets_no_input_gradient(self, monkeypatch):
+        from mvcrop import kernels
+
+        calls = []
+        grad_input = kernels.conv1d_grad_input
+
+        def counting(gy, w):
+            calls.append(w.shape)
+            return grad_input(gy, w)
+
+        monkeypatch.setattr(kernels, "conv1d_grad_input", counting)
+        enc = TempCNNEncoder(canonical_schema("radar"), cfg("TempCNN"))
+        enc.initialize(7)
+        enc.set_mode("train")
+        x = T.Tensor(np.random.default_rng(7).standard_normal((4, 12, 2)))
+        with T.Tape() as tape:
+            loss = T.reduce_sum(enc(x))
+        T.backward(loss, tape)
+        # the second and third blocks pass a gradient down; the first reads data
+        assert calls == [(64, 64, 5), (64, 64, 5)]
+        assert x.grad is None
+        assert all(p.grad is not None for p in enc.named_parameters().values())
+
 
 class TestAttentionPooling:
     def test_hand_example_single_head(self):

@@ -2,6 +2,7 @@
 fingerprinting, grid/search/baseline protocols, crash isolation, selection
 rules, records/summary CSV round trips, and report emission."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -963,6 +964,46 @@ class TestGroupedReporting:
 # ---------------------------------------------------------------------------
 
 
+def per_row_predictions_csv(path, labels, probabilities, metadata):
+    """Reference ``predictions.csv`` writer: one dict per sample, each value
+    formatted on its own through ``_format_value``."""
+    import mvcrop.experiments as exp
+
+    classes = probabilities.shape[1]
+    predicted = probabilities.argmax(axis=1)
+    max_probability = probabilities.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(probabilities > 0.0,
+                         probabilities * np.log(probabilities), 0.0)
+    entropy = -terms.sum(axis=1) / np.log(classes)
+    meta_columns = [key for key in exp._PREDICTION_METADATA
+                    if key in metadata]
+    columns = (["index"] + meta_columns
+               + ["true_label", "predicted_label", "correct",
+                  "max_probability", "entropy"]
+               + [f"prob_{k}" for k in range(classes)])
+    rows = []
+    for i in range(labels.shape[0]):
+        row = {"index": i}
+        for key in meta_columns:
+            value = metadata[key][i]
+            row[key] = (str(value) if metadata[key].dtype.kind == "U"
+                        else value.item())
+        row["true_label"] = int(labels[i])
+        row["predicted_label"] = int(predicted[i])
+        row["correct"] = int(predicted[i] == labels[i])
+        row["max_probability"] = float(max_probability[i])
+        row["entropy"] = float(entropy[i])
+        for k in range(classes):
+            row[f"prob_{k}"] = float(probabilities[i, k])
+        rows.append(row)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([exp._format_value(row[col]) for col in columns])
+
+
 def reloaded_report_files(outcome, out, config, dataset, dump_dir):
     """``predictions.csv`` and ``per_class.csv`` built the long way: reload
     the best cell's first successful checkpoint and score the test split."""
@@ -984,9 +1025,8 @@ def reloaded_report_files(outcome, out, config, dataset, dump_dir):
     exp._write_csv(dump_dir / "per_class.csv",
                    ("class", "precision", "recall", "f1"),
                    exp._per_class_rows(report))
-    columns, rows = exp._per_sample_rows(test_part.labels, probabilities,
-                                         test_part.metadata)
-    exp._write_csv(dump_dir / "predictions.csv", columns, rows)
+    per_row_predictions_csv(dump_dir / "predictions.csv", test_part.labels,
+                            probabilities, test_part.metadata)
     return dump_dir
 
 
@@ -1045,6 +1085,27 @@ class TestReportsFromRunScores:
                                          tmp_path):
         assert_reports_match_reload(*search_run, tiny_dataset,
                                     tmp_path / "d")
+
+    def test_predictions_csv_equals_per_row_writer(self, tiny_dataset,
+                                                   tmp_path):
+        import mvcrop.experiments as exp
+
+        _, test_part = stratified_split(tiny_dataset, 0.3, 3)
+        kinds = {test_part.metadata[key].dtype.kind
+                 for key in exp._PREDICTION_METADATA}
+        assert kinds == {"U", "i", "f"}
+        rng = np.random.default_rng(4)
+        probabilities = rng.dirichlet(np.ones(3), size=len(test_part))
+        probabilities[0] = (1.0, 0.0, 0.0)  # a zero entropy term
+        probabilities[1] = (0.5, 0.5, 0.0)  # a tie
+        labels = test_part.labels.copy()
+        labels[2] = 2
+        exp._write_predictions_csv(tmp_path / "columns.csv", labels,
+                                   probabilities, test_part.metadata)
+        per_row_predictions_csv(tmp_path / "rows.csv", labels,
+                                probabilities, test_part.metadata)
+        assert (tmp_path / "columns.csv").read_bytes() == \
+            (tmp_path / "rows.csv").read_bytes()
 
     def test_only_first_successful_repetition_is_kept(
             self, tiny_dataset, tmp_path, monkeypatch):

@@ -494,3 +494,93 @@ class TestRecurrentSequences:
         with pytest.raises(ShapeError):
             T.gru_sequence(case["x"], case["w_in"], case["w_hid"], case["b_in"], case["b_hid"],
                            h0=np.zeros((1, 3)))
+
+
+def _attention_graph(query, keys, values, key_dim):
+    """Attention pooling as a graph of elementary ops: the reference for the
+    fused op."""
+    scores = T.reduce_sum(keys * query, axis=3) * (1.0 / np.sqrt(key_dim))
+    weights = T.softmax(scores, axis=1)
+    batch, steps, heads = weights.shape
+    expanded = T.reshape(weights, (batch, steps, heads, 1))
+    return T.reduce_sum(expanded * values, axis=1), weights
+
+
+def _attention_case(rng, batch, steps, heads, key_dim, width, shared_query):
+    return {
+        "query": rng.standard_normal((1 if shared_query else batch, 1, heads, key_dim)),
+        "keys": rng.standard_normal((batch, steps, heads, key_dim)),
+        "values": rng.standard_normal((batch, steps, heads, width)),
+        "w_out": rng.standard_normal((batch, heads, width)),
+    }
+
+
+_ATTENTION_INPUTS = ("query", "keys", "values")
+
+
+def _attention_loss(case, name, t):
+    args = {k: T.Tensor(case[k]) for k in _ATTENTION_INPUTS}
+    args[name] = t
+    pooled, _ = T.attention_pool(*(args[k] for k in _ATTENTION_INPUTS),
+                                 key_dim=case["keys"].shape[3])
+    return T.reduce_sum(T.mul(pooled, T.Tensor(case["w_out"])))
+
+
+class TestAttentionPool:
+    """The fused attention pooling against the elementary graph bit for bit
+    (sign of zero included) and against finite differences."""
+
+    @pytest.mark.parametrize("shared_query", [False, True], ids=["per-sample", "shared"])
+    def test_bit_identical_to_graph(self, shared_query):
+        rng = np.random.default_rng(17)
+        shapes = [(b, t, h, kd, w) for b in (1, 2, 57) for t in (1, 12)
+                  for h in (1, 4) for kd in (1, 4) for w in (1, 16)]
+        shapes.append((128, 24, 4, 32, 64))
+        for shape in shapes:
+            case = _attention_case(rng, *shape, shared_query)
+            runs = []
+            for op in (T.attention_pool, _attention_graph):
+                leaves = {k: T.Tensor(case[k], requires_grad=True) for k in _ATTENTION_INPUTS}
+                with T.Tape() as tape:
+                    pooled, weights = op(*(leaves[k] for k in _ATTENTION_INPUTS), shape[3])
+                    loss = T.reduce_sum(T.mul(pooled, T.Tensor(case["w_out"])))
+                T.backward(loss, tape)
+                runs.append([pooled.data, weights.data]
+                            + [leaves[k].grad for k in _ATTENTION_INPUTS])
+            for got, want in zip(*runs):
+                assert got is not None and got.shape == want.shape, shape
+                assert np.array_equal(got, want), shape
+                assert np.array_equal(np.signbit(got), np.signbit(want)), shape
+
+    @pytest.mark.parametrize("shared_query", [False, True], ids=["per-sample", "shared"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grad_check_every_input(self, seed, shared_query):
+        case = _attention_case(np.random.default_rng(500 + seed), 3, 5, 2, 3, 4,
+                               shared_query)
+        for name in _ATTENTION_INPUTS:
+            res = T.grad_check(lambda t: _attention_loss(case, name, t), case[name])
+            assert res.ok, (name, res.max_rel_err)
+
+    def test_one_record_and_untracked_weights(self, rng):
+        case = _attention_case(rng, 3, 5, 2, 3, 4, shared_query=False)
+        leaves = [T.Tensor(case[k], requires_grad=True) for k in _ATTENTION_INPUTS]
+        with T.Tape() as tape:
+            pooled, weights = T.attention_pool(*leaves, key_dim=3)
+        assert len(tape.records) == 1
+        assert pooled.requires_grad and not weights.requires_grad
+
+    def test_shape_errors(self, rng):
+        case = _attention_case(rng, 3, 5, 2, 4, 6, shared_query=False)
+        q, k, v = (case[name] for name in _ATTENTION_INPUTS)
+        bad = [
+            (q, k, v, 3),  # key_dim does not match the keys
+            (q, k[0], v, 4),  # keys are not 4-d
+            (q[:, :, :1], k, v, 4),  # query has too few heads
+            (q[:2], k, v, 4),  # query batch is neither B nor 1
+            (np.concatenate([q, q], axis=1), k, v, 4),  # query over time
+            (q, k, v[:, :4], 4),  # values have too few steps
+            (q, k, v[..., 0], 4),  # values are not 4-d
+        ]
+        for args in bad:
+            with pytest.raises(ShapeError):
+                T.attention_pool(*args)
