@@ -31,11 +31,13 @@ from .data import Dataset, load_dataset, stratified_split
 from .encoders import EncoderConfig, build_encoder
 from .errors import ConfigError
 from .fusion import (
-    _DEFAULT_MERGE,
+    COMPONENT_STRATEGIES,
+    COMPONENTS,
     STRATEGIES,
     EnsembleModel,
     PredictionHead,
     build_model,
+    resolve_merge,
 )
 from .kernels import active_backend
 from .metrics import evaluate, grouped_report
@@ -50,13 +52,10 @@ from .training import (  # noqa: F401  (load_checkpoint: public re-export)
 from .views import canonical_schema
 
 GRID_ENCODERS = ("LSTM", "GRU", "TempCNN", "TAE", "LTAE")
-COMPONENT_STRATEGIES = ("Feature", "Decision", "Hybrid")
-COMPONENTS = ("gfusion", "multiloss")
 GRID_CELL_COUNT = 31
 SEARCH_CELL_COUNT = 16
 
 _SELECTION_METRICS = ("kappa", "average_accuracy", "f1_macro")
-_MERGE_KINDS = ("concat", "average", "gated")
 _TASKS = ("binary", "multicrop")
 
 RECORD_COLUMNS = (
@@ -181,26 +180,7 @@ class ExperimentConfig:
         if self.encoder not in GRID_ENCODERS:
             raise ConfigError(
                 f"unknown encoder {self.encoder!r}; known: {GRID_ENCODERS}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"unknown strategy {self.strategy!r}; known: {STRATEGIES}")
-        if self.component not in ("none",) + COMPONENTS:
-            raise ConfigError(
-                f"unknown component {self.component!r}; "
-                f"known: {('none',) + COMPONENTS}")
-        if (self.component != "none"
-                and self.strategy not in COMPONENT_STRATEGIES):
-            raise ConfigError(
-                f"component {self.component!r} attaches only to "
-                f"{COMPONENT_STRATEGIES}, not {self.strategy!r}")
-        if self.merge is not None and self.merge not in _MERGE_KINDS:
-            raise ConfigError(
-                f"unknown merge {self.merge!r}; known: {_MERGE_KINDS}")
-        if self.strategy == "Ensemble" and self.merge not in (None, "average"):
-            raise ConfigError("ensembles always average member predictions")
-        if self.component == "gfusion" and self.merge not in (None, "gated"):
-            raise ConfigError(
-                f"gated-merge component conflicts with merge={self.merge!r}")
+        resolve_merge(self.strategy, self.component, self.merge)
         if self.gamma < 0:
             raise ConfigError(
                 f"auxiliary loss weight must be >= 0, got {self.gamma}")
@@ -466,22 +446,12 @@ def summarize(rows: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _effective_merge(cell: CellSpec, merge_override: str | None) -> str:
-    if cell.strategy == "Ensemble":
-        return "average"
-    if cell.component == "gfusion":
-        return "gated"
-    return merge_override or _DEFAULT_MERGE[cell.strategy]
-
-
 def _build_cell_model(cell: CellSpec, config: ExperimentConfig,
-                      dataset: Dataset, merge_override: str | None):
-    encoder_config = config._encoder_config(cell.encoder)
-    component = None if cell.component == "none" else cell.component
+                      dataset: Dataset, merge: str | None):
     return build_model(
-        list(dataset.schemas), cell.strategy, encoder_config,
-        classes=dataset.classes, merge=merge_override,
-        component=component, gamma=config.gamma)
+        list(dataset.schemas), cell.strategy,
+        config._encoder_config(cell.encoder), classes=dataset.classes,
+        merge=merge, component=cell.component, gamma=config.gamma)
 
 
 def _predict_all(model, dataset: Dataset, batch_size: int) -> np.ndarray:
@@ -509,13 +479,11 @@ def _error_text(exc: Exception) -> str:
 
 
 def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
-             fingerprint: str, out_dir: Path,
-             merge_override: str | None) -> tuple:
+             fingerprint: str, out_dir: Path, merge: str) -> tuple:
     """Train and score one (cell, repetition): its record row, its timing
     row, and its test-split probabilities (None when it failed)."""
     train_ds, test_ds = data
     seed = rep_seed(config.seed_base, rep)
-    merge = _effective_merge(cell, merge_override)
     parameters = None
     probabilities = None
     report = None
@@ -524,7 +492,7 @@ def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
     infer_seconds = 0.0
     status, error = "ok", ""
     try:
-        model = _build_cell_model(cell, config, train_ds, merge_override)
+        model = _build_cell_model(cell, config, train_ds, merge)
         parameters = model.parameter_count()
         model.initialize(seed)
         train_seconds = _fit(cell, model, train_ds,
@@ -579,15 +547,19 @@ def _execute(cells, data_by_label: dict, config: ExperimentConfig,
 
     The test-split probabilities of each cell's lowest-numbered successful
     repetition go into ``predictions`` under its checkpoint path, which is
-    all the reports read; the others are dropped as they arrive.
+    all the reports read; the others are dropped as they arrive. An
+    illegal merge raises ConfigError before anything is written.
     """
+    merges = {cell: resolve_merge(cell.strategy, cell.component,
+                                  merge_override) for cell in cells}
+    (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     tasks = [(cell, rep) for cell in cells
              for rep in range(config.repetitions)]
 
     def work(task):
         cell, rep = task
         return _run_one(cell, rep, data_by_label[cell.label], config,
-                        fingerprint, out_dir, merge_override)
+                        fingerprint, out_dir, merges[cell])
 
     rows, timings, kept = [], [], set()
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
@@ -804,7 +776,6 @@ def _prepare(dataset, config: ExperimentConfig):
             f"{dataset.task!r}")
     _check_group_fields(dataset.metadata, config.group_by)
     out_dir = Path(config.output_dir)
-    (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     fingerprint = config.fingerprint(dataset_fingerprint(dataset))
     train_part, test_part = stratified_split(dataset, config.test_fraction,
                                              config.seed_base)

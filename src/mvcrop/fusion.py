@@ -33,10 +33,51 @@ from .tensor import (
 )
 from .views import ViewSchema
 
-STRATEGIES = ("Input", "Feature", "Decision", "Hybrid", "Ensemble")
+# The fusion rules. Each strategy lists the merges it accepts, default
+# first; a component attaches only to the strategies named for it.
+MERGES = {
+    "Input": ("concat", "average"),
+    "Feature": ("concat", "average", "gated"),
+    "Decision": ("average", "gated"),
+    "Hybrid": ("average", "gated"),
+    "Ensemble": ("average",),
+}
+STRATEGIES = tuple(MERGES)
 COMPONENTS = ("gfusion", "multiloss")
-_DEFAULT_MERGE = {"Input": "concat", "Feature": "concat",
-                  "Decision": "average", "Hybrid": "average"}
+COMPONENT_STRATEGIES = ("Feature", "Decision", "Hybrid")
+
+
+def resolve_merge(strategy: str, component: str | None = None,
+                  merge: str | None = None) -> str:
+    """The merge a strategy runs with, after checking the whole choice.
+
+    ``component`` is a name from COMPONENTS, or None/"none" for no
+    component. The gated-merge component forces ``gated``; otherwise no
+    merge means the strategy's default. Any choice outside the rules above
+    raises ConfigError.
+    """
+    if strategy not in MERGES:
+        raise ConfigError(f"unknown strategy {strategy!r}; known: {STRATEGIES}")
+    if component not in (None, "none"):
+        if component not in COMPONENTS:
+            raise ConfigError(
+                f"unknown component {component!r}; known: {COMPONENTS}")
+        if strategy not in COMPONENT_STRATEGIES:
+            raise ConfigError(
+                f"component {component!r} attaches only to "
+                f"{COMPONENT_STRATEGIES}, not {strategy!r}")
+    if component == "gfusion":
+        if merge not in (None, "gated"):
+            raise ConfigError(
+                f"gated-merge component conflicts with merge={merge!r}")
+        return "gated"
+    accepted = MERGES[strategy]
+    if merge is None:
+        return accepted[0]
+    if merge not in accepted:
+        raise ConfigError(
+            f"{strategy} fusion accepts merge {accepted}, got {merge!r}")
+    return merge
 
 
 @dataclass
@@ -233,9 +274,6 @@ class InputFusion(MVLModel):
 
     def __init__(self, views: list[ViewSchema], config: EncoderConfig,
                  classes: int, merge: str = "concat") -> None:
-        if merge not in ("concat", "average"):
-            raise ConfigError(
-                f"input merge must be concat or average, got {merge!r}")
         self.views = list(views)
         self.merge_kind = merge
         self.classes = classes
@@ -288,8 +326,6 @@ class FeatureFusion(MVLModel):
 
     def __init__(self, views: list[ViewSchema], config: EncoderConfig,
                  classes: int, merge: str = "concat", aux_heads: bool = False) -> None:
-        if merge not in ("concat", "average", "gated"):
-            raise ConfigError(f"unknown feature merge {merge!r}")
         self.views = list(views)
         self.merge_kind = merge
         self.classes = classes
@@ -324,10 +360,6 @@ class DecisionFusion(MVLModel):
 
     def __init__(self, views: list[ViewSchema], config: EncoderConfig,
                  classes: int, merge: str = "average") -> None:
-        if merge not in ("average", "gated"):
-            raise ConfigError(
-                f"decision merge must keep the class width (average or gated), "
-                f"got {merge!r}")
         self.views = list(views)
         self.merge_kind = merge
         self.classes = classes
@@ -366,9 +398,6 @@ class HybridFusion(MVLModel):
 
     def __init__(self, views: list[ViewSchema], config: EncoderConfig,
                  classes: int, merge: str = "average") -> None:
-        if merge not in ("average", "gated"):
-            raise ConfigError(
-                f"hybrid feature merge must be average or gated, got {merge!r}")
         self.views = list(views)
         self.merge_kind = merge
         self.classes = classes
@@ -450,45 +479,24 @@ def build_model(views: list[ViewSchema], strategy: str, config: EncoderConfig,
                 classes: int, merge: str | None = None,
                 component: str | None = None, gamma: float = 0.3) -> MVLModel:
     """Assemble a strategy model, optionally with one attached component."""
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}; known: {STRATEGIES}")
+    merge = resolve_merge(strategy, component, merge)
     if not views:
         raise ConfigError("need at least one view")
     names = [v.name for v in views]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate view names: {names}")
-    if classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {classes}")
-    if component is not None:
-        if component not in COMPONENTS:
-            raise ConfigError(f"unknown component {component!r}; known: {COMPONENTS}")
-        if strategy not in ("Feature", "Decision", "Hybrid"):
-            raise ConfigError(
-                f"component {component!r} attaches only to Feature, Decision, "
-                f"or Hybrid, not {strategy}")
-    if component == "gfusion":
-        if merge not in (None, "gated"):
-            raise ConfigError(
-                f"gated-merge component conflicts with merge={merge!r}")
-        merge = "gated"
     if strategy == "Ensemble":
-        if merge not in (None, "average"):
-            raise ConfigError("ensembles always average member predictions")
         model: MVLModel = EnsembleModel(
             views, {v.name: InputFusion([v], config, classes) for v in views})
+    elif strategy == "Input":
+        model = InputFusion(views, config, classes, merge)
+    elif strategy == "Feature":
+        model = FeatureFusion(views, config, classes, merge,
+                              aux_heads=(component == "multiloss"))
+    elif strategy == "Decision":
+        model = DecisionFusion(views, config, classes, merge)
     else:
-        merge = merge or _DEFAULT_MERGE[strategy]
-        if strategy == "Input":
-            model = InputFusion(views, config, classes, merge)
-        elif strategy == "Feature":
-            model = FeatureFusion(views, config, classes, merge,
-                                  aux_heads=(component == "multiloss"))
-        elif strategy == "Decision":
-            model = DecisionFusion(views, config, classes, merge)
-        else:
-            model = HybridFusion(views, config, classes, merge)
+        model = HybridFusion(views, config, classes, merge)
     if component == "multiloss":
-        if gamma < 0:
-            raise ConfigError(f"auxiliary loss weight must be >= 0, got {gamma}")
         model.multiloss_gamma = gamma
     return model

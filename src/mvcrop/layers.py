@@ -29,67 +29,46 @@ class Module:
 
     mode: str = "train"
 
-    def _entries(self):
+    def _walk(self, prefix: str = "") -> list:
+        """Pre-order ``(path, node)`` pairs over the module tree.
+
+        The tree is this module, at ``prefix``, and every Parameter or
+        Module held in a public attribute, directly or inside a list, tuple
+        or dict, in attribute order. A Parameter's path is its name; a
+        Module's path is the prefix of its members' names (``head.``).
+        """
+        out: list = [(prefix, self)]
         for attr, obj in self.__dict__.items():
-            if attr.startswith("_") and attr != "_buffers":
+            if attr.startswith("_"):
                 continue
-            yield attr, obj
+            if isinstance(obj, Module):
+                out += obj._walk(f"{prefix}{attr}.")
+            elif isinstance(obj, Parameter):
+                out.append((prefix + attr, obj))
+            elif isinstance(obj, (list, tuple, dict)):
+                items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+                for key, item in items:
+                    if isinstance(item, Module):
+                        out += item._walk(f"{prefix}{attr}.{key}.")
+                    elif isinstance(item, Parameter):
+                        out.append((f"{prefix}{attr}.{key}", item))
+        return out
 
     def named_parameters(self, prefix: str = "") -> dict[str, Parameter]:
         out: dict[str, Parameter] = {}
-        for attr, obj in self._entries():
-            name = f"{prefix}{attr}"
-            if isinstance(obj, Parameter):
-                obj.name = name
-                out[name] = obj
-            elif isinstance(obj, Module):
-                out.update(obj.named_parameters(f"{name}."))
-            elif isinstance(obj, (list, tuple)):
-                for i, item in enumerate(obj):
-                    if isinstance(item, Module):
-                        out.update(item.named_parameters(f"{name}.{i}."))
-                    elif isinstance(item, Parameter):
-                        item.name = f"{name}.{i}"
-                        out[item.name] = item
-            elif isinstance(obj, dict):
-                for key, item in obj.items():
-                    if isinstance(item, Module):
-                        out.update(item.named_parameters(f"{name}.{key}."))
+        for name, node in self._walk(prefix):
+            if isinstance(node, Parameter):
+                node.name = name
+                out[name] = node
         return out
 
     def named_buffers(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        buffers = getattr(self, "_buffers", None)
-        if buffers:
-            for key, arr in buffers.items():
-                out[f"{prefix}{key}"] = arr
-        for attr, obj in self._entries():
-            name = f"{prefix}{attr}"
-            if isinstance(obj, Module):
-                out.update(obj.named_buffers(f"{name}."))
-            elif isinstance(obj, (list, tuple)):
-                for i, item in enumerate(obj):
-                    if isinstance(item, Module):
-                        out.update(item.named_buffers(f"{name}.{i}."))
-            elif isinstance(obj, dict):
-                for key, item in obj.items():
-                    if isinstance(item, Module):
-                        out.update(item.named_buffers(f"{name}.{key}."))
-        return out
+        return {f"{path}{key}": arr for path, node in self._walk(prefix)
+                if isinstance(node, Module)
+                for key, arr in getattr(node, "_buffers", {}).items()}
 
-    def modules(self):
-        yield self
-        for _, obj in self._entries():
-            if isinstance(obj, Module):
-                yield from obj.modules()
-            elif isinstance(obj, (list, tuple)):
-                for item in obj:
-                    if isinstance(item, Module):
-                        yield from item.modules()
-            elif isinstance(obj, dict):
-                for item in obj.values():
-                    if isinstance(item, Module):
-                        yield from item.modules()
+    def modules(self) -> list[Module]:
+        return [node for _, node in self._walk() if isinstance(node, Module)]
 
     def set_mode(self, mode: str) -> None:
         if mode not in ("train", "infer"):
@@ -123,10 +102,6 @@ class Module:
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.named_parameters().values())
-
-
-def parameter_count(module: Module) -> int:
-    return module.parameter_count()
 
 
 class Linear(Module):

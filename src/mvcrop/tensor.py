@@ -578,17 +578,6 @@ def relu(x) -> Tensor:
     return out
 
 
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def activation(x, kind: str) -> Tensor:
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(f"unknown activation kind {kind!r}") from None
-    return fn(x)
-
-
 def _softmax(x: Array, axis: int) -> Array:
     e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
     return e / np.add.reduce(e, axis=axis, keepdims=True)
@@ -785,17 +774,6 @@ def reduce_max(x, axis=None, keepdims: bool = False) -> Tensor:
 
         _record((x,), out, backward)
     return out
-
-
-_REDUCERS = {"sum": reduce_sum, "mean": reduce_mean, "max": reduce_max}
-
-
-def reduce(x, op: str, axis=None, keepdims: bool = False) -> Tensor:
-    try:
-        fn = _REDUCERS[op]
-    except KeyError:
-        raise ConfigError(f"unknown reduction {op!r}") from None
-    return fn(x, axis=axis, keepdims=keepdims)
 
 
 # ---------------------------------------------------------------------------

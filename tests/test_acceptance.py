@@ -264,11 +264,7 @@ def _away_from_zero(rng: np.random.Generator, shape: tuple,
 
 def _op_cases(rng: np.random.Generator, instance: int):
     """One (name, scalar function, probe point) triple per differentiable
-    input slot of every tensor op.
-
-    The `activation` and `reduce` dispatchers are thin lookups over
-    functions checked here directly.
-    """
+    input slot of every tensor op."""
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
     den = _away_from_zero(rng, (3, 4), low=0.5, high=2.0)

@@ -285,6 +285,18 @@ class TestTrain:
         assert code == 1
         assert err
 
+    @pytest.mark.parametrize("strategy,merge", [
+        ("Decision", "concat"), ("Hybrid", "concat"), ("Input", "gated")])
+    def test_illegal_merge_is_validation_error(self, capsys, data_path,
+                                               tmp_path, strategy, merge):
+        config = write_config(tmp_path / "config.json", data_path,
+                              tmp_path / "run", strategy=strategy,
+                              merge=merge, views=["optical", "radar"])
+        code, _, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 1
+        assert merge in err
+        assert not (tmp_path / "run").exists()
+
     def test_empty_dataset_path_is_validation_error(self, capsys, tmp_path):
         config = write_config(tmp_path / "config.json", "", tmp_path / "run")
         code, _, err = run_cli(capsys, "train", "--config", str(config))

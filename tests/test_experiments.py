@@ -44,7 +44,7 @@ from mvcrop.experiments import (
     summarize,
     write_records_csv,
 )
-from mvcrop.fusion import STRATEGIES, build_model
+from mvcrop.fusion import STRATEGIES, build_model, resolve_merge
 from mvcrop.rngutil import rep_seed
 from mvcrop.training import TrainConfig, train
 
@@ -267,6 +267,14 @@ class TestExperimentConfig:
     def test_rejects_bad_merge(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(merge="median")
+
+    @pytest.mark.parametrize("strategy,merge", [
+        ("Decision", "concat"), ("Hybrid", "concat"), ("Input", "gated"),
+        ("Ensemble", "gated")])
+    def test_rejects_merge_the_strategy_does_not_accept(self, strategy,
+                                                         merge):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(strategy=strategy, merge=merge)
 
     def test_rejects_negative_gamma(self):
         with pytest.raises(ConfigError):
@@ -680,6 +688,46 @@ class TestRunCell:
 # ---------------------------------------------------------------------------
 
 
+# The merge column of every protocol cell: gfusion forces gated, every
+# other cell runs its strategy's default merge.
+PROTOCOL_MERGES = {
+    ("Input", "none"): "concat",
+    ("Feature", "none"): "concat",
+    ("Decision", "none"): "average",
+    ("Hybrid", "none"): "average",
+    ("Ensemble", "none"): "average",
+    ("Feature", "gfusion"): "gated",
+    ("Decision", "gfusion"): "gated",
+    ("Hybrid", "gfusion"): "gated",
+    ("Feature", "multiloss"): "concat",
+    ("Decision", "multiloss"): "average",
+    ("Hybrid", "multiloss"): "average",
+}
+
+
+class TestMergeColumn:
+    @pytest.mark.parametrize("cells", [grid_cells("GRU"), search_cells("TAE")],
+                             ids=["grid", "search"])
+    def test_protocol_cells_resolve_to_pinned_merges(self, cells):
+        pairs = {(c.strategy, c.component) for c in cells}
+        assert pairs == set(PROTOCOL_MERGES)
+        for cell in cells:
+            assert (resolve_merge(cell.strategy, cell.component)
+                    == PROTOCOL_MERGES[(cell.strategy, cell.component)])
+
+    def test_grid_records_carry_pinned_merges(self, grid_run):
+        outcome, _, _ = grid_run
+        for row in outcome.records:
+            assert row["merge"] == PROTOCOL_MERGES[(row["strategy"],
+                                                    row["component"])]
+
+    def test_explicit_override_reaches_records(self, tiny_dataset, tmp_path):
+        config = tiny_config(tmp_path, strategy="Decision", merge="gated")
+        outcome = run_cell(tiny_dataset, config)
+        assert outcome.records[0]["merge"] == "gated"
+        assert outcome.records[0]["status"] == "ok"
+
+
 class TestRunGrid:
     def test_thirty_one_cells_and_records(self, grid_run):
         outcome, _, _ = grid_run
@@ -887,6 +935,37 @@ class TestSingleViewBaselines:
         stored = stored_model.predict(
             {"radar": test_radar.arrays["radar"]})
         assert np.array_equal(manual, stored)
+
+    def test_illegal_merge_rejected_before_training(self, tiny_dataset,
+                                                     tmp_path):
+        config = tiny_config(tmp_path / "run", strategy="Feature",
+                             merge="gated", repetitions=2)
+        with pytest.raises(ConfigError):
+            single_view_baselines(tiny_dataset, config)
+        assert not (tmp_path / "run").exists()
+
+    def test_merge_resolved_once_per_cell_before_training(
+            self, tiny_dataset, tmp_path, monkeypatch):
+        import mvcrop.experiments as exp
+
+        config = tiny_config(tmp_path, merge="concat", repetitions=2)
+        events = []
+        resolve, fit = exp.resolve_merge, exp._fit
+
+        def counted_resolve(*args):
+            events.append(("resolve", args))
+            return resolve(*args)
+
+        def counted_fit(cell, model, dataset, config):
+            events.append(("fit", cell.view))
+            return fit(cell, model, dataset, config)
+
+        monkeypatch.setattr(exp, "resolve_merge", counted_resolve)
+        monkeypatch.setattr(exp, "_fit", counted_fit)
+        single_view_baselines(tiny_dataset, config)
+        views = len(tiny_dataset.view_names)
+        assert events[:views] == [("resolve", ("Input", "none", "concat"))] * views
+        assert [kind for kind, _ in events[views:]] == ["fit"] * 2 * views
 
     def test_crash_isolation_records_error_and_continues(
             self, tiny_dataset, tmp_path, monkeypatch):

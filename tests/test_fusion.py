@@ -1,5 +1,6 @@
 """Fusion suite: prediction head, merge functions, the five strategy models,
-the gated-merge and auxiliary-loss components, and parameter-count formulas."""
+the gated-merge and auxiliary-loss components, the fusion rules, the module
+tree walk, and parameter-count formulas."""
 from __future__ import annotations
 
 import numpy as np
@@ -22,7 +23,9 @@ from mvcrop.fusion import (
     build_model,
     formula_count,
     multi_loss,
+    resolve_merge,
 )
+from mvcrop.tensor import Parameter
 from mvcrop.views import ViewSchema, canonical_schema
 
 RADAR = canonical_schema("radar")
@@ -387,6 +390,78 @@ class TestMultiLoss:
         T.backward(total, tape)
         assert a.grad == 0.0
         assert abs(b.grad - 0.9) < 1e-12
+
+
+class TestFusionRules:
+    @pytest.mark.parametrize("strategy,component,merge", [
+        ("Input", None, "average"),
+        ("Feature", None, "gated"),
+        ("Feature", "multiloss", "average"),
+        ("Decision", None, "gated"),
+        ("Hybrid", "none", "gated"),
+        ("Ensemble", None, "average"),
+        ("Decision", "gfusion", "gated"),
+    ])
+    def test_explicit_legal_merge_kept(self, strategy, component, merge):
+        assert resolve_merge(strategy, component, merge) == merge
+
+    @pytest.mark.parametrize("strategy,component,merge", [
+        ("Input", None, "gated"),
+        ("Decision", None, "concat"),
+        ("Hybrid", None, "concat"),
+        ("Ensemble", None, "gated"),
+        ("Ensemble", None, "concat"),
+        ("Feature", None, "median"),
+        ("Feature", "gfusion", "average"),
+    ])
+    def test_illegal_choice_rejected(self, strategy, component, merge):
+        with pytest.raises(ConfigError):
+            resolve_merge(strategy, component, merge)
+
+
+def _lookup(module, path: str):
+    """Follow a dotted attribute path through modules, lists and dicts."""
+    obj = module
+    for part in path.split("."):
+        if isinstance(obj, dict):
+            obj = obj[part]
+        elif isinstance(obj, (list, tuple)):
+            obj = obj[int(part)]
+        else:
+            obj = getattr(obj, part)
+    return obj
+
+
+class TestModuleWalk:
+    def test_walkers_agree_on_hybrid_gated_model(self):
+        model = build_model([RADAR, WEATHER, TOPO], "Hybrid", cfg("GRU"),
+                            classes=2, component="gfusion")
+        modules = list(model.modules())
+        assert modules[0] is model
+        assert len({id(m) for m in modules}) == len(modules)
+        owner = {}  # id of a parameter or buffer -> index of its module
+        for index, m in enumerate(modules):
+            for obj in vars(m).values():
+                if isinstance(obj, Parameter):
+                    owner[id(obj)] = index
+            for arr in getattr(m, "_buffers", {}).values():
+                owner[id(arr)] = index
+
+        params = model.named_parameters()
+        buffers = model.named_buffers()
+        assert len(params) + len(buffers) == len(owner)
+        assert "gate.gate.weight" in params
+        assert "feature_head.norm.running_mean" in buffers
+        assert "heads.topography.norm.running_var" in buffers
+        for named in (params, buffers):
+            owners = [owner[id(x)] for x in named.values()]
+            assert owners == sorted(owners)
+        for name, p in params.items():
+            assert p.name == name
+            assert _lookup(model, name) is p
+        for name, arr in buffers.items():
+            path, key = name.rsplit(".", 1)
+            assert _lookup(model, path)._buffers[key] is arr
 
 
 class TestComponentLegality:
