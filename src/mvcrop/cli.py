@@ -49,6 +49,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_RUN_COMMANDS = (
+    ("train", "run the single cell named by the config", run_cell),
+    ("grid", "run the full 31-cell protocol", run_grid),
+    ("search", "run the reduced 16-cell protocol", run_search),
+)
+
+
 def _add_run_flags(parser) -> None:
     parser.add_argument("--config", required=True,
                         help="experiment config JSON")
@@ -88,10 +95,10 @@ def _build_parser() -> _Parser:
     entropy.add_argument("--segments", type=int, default=2)
     entropy.add_argument("--out", default=None)
 
-    for name, text in (("train", "run the single cell named by the config"),
-                       ("grid", "run the full 31-cell protocol"),
-                       ("search", "run the reduced 16-cell protocol")):
-        _add_run_flags(sub.add_parser(name, help=text))
+    for name, text, runner in _RUN_COMMANDS:
+        run = sub.add_parser(name, help=text)
+        _add_run_flags(run)
+        run.set_defaults(runner=runner)
 
     report = sub.add_parser("report",
                             help="re-emit tables from a run directory")
@@ -233,29 +240,14 @@ def _experiment_config(args) -> ExperimentConfig:
     return replace(config, dataset=str(dataset), output_dir=str(output))
 
 
-def _print_outcome(outcome) -> None:
+def _cmd_run(args) -> int:
+    config = _experiment_config(args)
+    outcome = args.runner(config.dataset, config)
     print(f"cells: {len(outcome.cells)}  "
           f"trainings: {outcome.trainings_executed}  "
           f"best: {outcome.best_cell}")
     print(f"records: {Path(outcome.output_dir) / 'records.csv'}")
     print(f"reports: {Path(outcome.output_dir) / 'reports'}")
-
-
-def _cmd_train(args) -> int:
-    config = _experiment_config(args)
-    _print_outcome(run_cell(config.dataset, config))
-    return 0
-
-
-def _cmd_grid(args) -> int:
-    config = _experiment_config(args)
-    _print_outcome(run_grid(config.dataset, config))
-    return 0
-
-
-def _cmd_search(args) -> int:
-    config = _experiment_config(args)
-    _print_outcome(run_search(config.dataset, config))
     return 0
 
 
@@ -270,10 +262,8 @@ _COMMANDS = {
     "import": _cmd_import,
     "inspect-params": _cmd_inspect_params,
     "entropy": _cmd_entropy,
-    "train": _cmd_train,
-    "grid": _cmd_grid,
-    "search": _cmd_search,
     "report": _cmd_report,
+    **{name: _cmd_run for name, _, _ in _RUN_COMMANDS},
 }
 
 

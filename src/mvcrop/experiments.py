@@ -4,7 +4,8 @@ Three evaluation protocols over one dataset: the full encoder × strategy grid
 (25 base cells plus 6 component cells = 31), the reduced encoder search
 (5 Input-fusion cells, then 11 follow-up cells with the winning encoder, one
 of which reuses a phase-1 result = 16 cells, 15 trainings per repetition),
-and per-view single-model baselines.
+and per-view single-model baselines. Each protocol is an ordered tuple of
+phases, and one engine (``_run_protocol``) runs any of them.
 
 A run record is one CSV row per (cell, repetition): identity columns, seed,
 config fingerprint, status, and the metrics report. Wall-clock seconds live in
@@ -377,13 +378,16 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def write_records_csv(path, rows: list) -> None:
+def _write_csv(path, columns, rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_format_value(row[col])
-                             for col in RECORD_COLUMNS])
+            writer.writerow([_format_value(row[col]) for col in columns])
+
+
+def write_records_csv(path, rows: list) -> None:
+    _write_csv(path, RECORD_COLUMNS, rows)
 
 
 def read_records_csv(path) -> list:
@@ -540,9 +544,15 @@ def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
     return row, timing, probabilities
 
 
-def _execute(cells, data_by_label: dict, config: ExperimentConfig,
-             out_dir: Path, fingerprint: str, merge_override: str | None,
-             predictions: dict) -> tuple:
+def _cell_split(cell: CellSpec, split: tuple) -> tuple:
+    """A cell's (train, test) data: the whole split, or one view of it."""
+    if not cell.view:
+        return split
+    return tuple(part.restrict([cell.view]) for part in split)
+
+
+def _execute(cells, split: tuple, config: ExperimentConfig, out_dir: Path,
+             fingerprint: str, predictions: dict) -> tuple:
     """Run every (cell, repetition) in cell-major order.
 
     The test-split probabilities of each cell's lowest-numbered successful
@@ -551,14 +561,14 @@ def _execute(cells, data_by_label: dict, config: ExperimentConfig,
     illegal merge raises ConfigError before anything is written.
     """
     merges = {cell: resolve_merge(cell.strategy, cell.component,
-                                  merge_override) for cell in cells}
+                                  config.merge) for cell in cells}
     (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     tasks = [(cell, rep) for cell in cells
              for rep in range(config.repetitions)]
 
     def work(task):
         cell, rep = task
-        return _run_one(cell, rep, data_by_label[cell.label], config,
+        return _run_one(cell, rep, _cell_split(cell, split), config,
                         fingerprint, out_dir, merges[cell])
 
     rows, timings, kept = [], [], set()
@@ -572,20 +582,12 @@ def _execute(cells, data_by_label: dict, config: ExperimentConfig,
                 predictions[row["checkpoint"]] = probabilities
             rows.append(row)
             timings.append(timing)
-    return rows, timings, len(tasks)
+    return rows, timings
 
 
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
-
-
-def _write_csv(path, columns, rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_value(row[col]) for col in columns])
 
 
 def _percent(mean, std) -> str:
@@ -716,37 +718,28 @@ def _per_class_rows(report) -> list:
             for k in range(len(report.precision))]
 
 
-def _write_reports(out_dir: Path, kind: str, config: ExperimentConfig,
-                   cells, rows: list, timings: list, best_cell: str,
-                   test_ds: Dataset, predictions: dict) -> None:
-    reports = out_dir / "reports"
+def _write_tables(reports: Path, kind: str, best_cell: str, group_by,
+                  rows: list, scores) -> None:
+    """``summary.csv``/``summary.md`` from the records and, when the best
+    cell's ``(labels, probabilities, metadata)`` scores are given,
+    ``per_class.csv`` and one ``per_<group>.csv`` per grouping field."""
     reports.mkdir(parents=True, exist_ok=True)
-
     summary = summarize(rows)
     write_summary_csv(reports / "summary.csv", summary)
     write_summary_markdown(reports / "summary.md", summary, best_cell, kind)
-    _write_csv(reports / "timings.csv",
-               ("cell", "phase", "view", "repetitions",
-                "train_seconds_mean", "infer_seconds_mean"),
-               _timing_rows(cells, timings))
-
-    # Best-cell diagnostics: its first successful repetition's scores on
-    # the shared test split, sample by sample.
-    source = next(row for row in rows
-                  if row["cell"] == best_cell and row["status"] == "ok")
-    probabilities = predictions[source["checkpoint"]]
-    report = evaluate(test_ds.labels, probabilities, test_ds.classes)
+    if scores is None:
+        return
+    labels, probabilities, metadata = scores
+    classes = probabilities.shape[1]
     _write_csv(reports / "per_class.csv",
                ("class", "precision", "recall", "f1"),
-               _per_class_rows(report))
-    for key in config.group_by:
+               _per_class_rows(evaluate(labels, probabilities, classes)))
+    for key in group_by:
         _write_csv(reports / f"per_{key}.csv",
                    ("group", "samples", "average_accuracy", "kappa",
                     "f1_macro"),
-                   _grouped_rows(test_ds.labels, probabilities,
-                                 test_ds.metadata, key, test_ds.classes))
-    _write_predictions_csv(reports / "predictions.csv", test_ds.labels,
-                           probabilities, test_ds.metadata)
+                   _grouped_rows(labels, probabilities, metadata, key,
+                                 classes))
 
 
 # ---------------------------------------------------------------------------
@@ -763,23 +756,6 @@ class RunOutcome:
     trainings_executed: int
     best_cell: str
     output_dir: str
-
-
-def _prepare(dataset, config: ExperimentConfig):
-    if isinstance(dataset, (str, Path)):
-        dataset = load_dataset(dataset)
-    if config.views:
-        dataset = dataset.restrict(list(config.views))
-    if dataset.task != config.task:
-        raise ConfigError(
-            f"config expects task {config.task!r} but dataset is "
-            f"{dataset.task!r}")
-    _check_group_fields(dataset.metadata, config.group_by)
-    out_dir = Path(config.output_dir)
-    fingerprint = config.fingerprint(dataset_fingerprint(dataset))
-    train_part, test_part = stratified_split(dataset, config.test_fraction,
-                                             config.seed_base)
-    return dataset, train_part, test_part, out_dir, fingerprint
 
 
 def _numeric_environment() -> dict:
@@ -810,9 +786,8 @@ def _write_manifest(out_dir: Path, kind: str, config: ExperimentConfig,
 
 
 def _finalize(kind: str, config: ExperimentConfig, out_dir: Path,
-              fingerprint: str, cells, rows: list, timings: list,
-              trainings: int, data_by_label: dict,
-              predictions: dict) -> RunOutcome:
+              fingerprint: str, cells: list, rows: list, timings: list,
+              trainings: int, split: tuple, predictions: dict) -> RunOutcome:
     write_records_csv(out_dir / "records.csv", rows)
     if not any(row["status"] == "ok" for row in rows):
         first = next((row["error"] for row in rows if row["error"]),
@@ -821,136 +796,153 @@ def _finalize(kind: str, config: ExperimentConfig, out_dir: Path,
     best = best_cell_label(rows, config.selection_metric)
     _write_manifest(out_dir, kind, config, fingerprint, cells, trainings,
                     best)
-    _write_reports(out_dir, kind, config, cells, rows, timings, best,
-                   data_by_label[best][1], predictions)
+    # Best-cell diagnostics: its first successful repetition's scores on
+    # the shared test split, sample by sample.
+    source = next(row for row in rows
+                  if row["cell"] == best and row["status"] == "ok")
+    probabilities = predictions[source["checkpoint"]]
+    _, test_ds = _cell_split(next(cell for cell in cells
+                                  if cell.label == best), split)
+    reports = out_dir / "reports"
+    _write_tables(reports, kind, best, config.group_by, rows,
+                  (test_ds.labels, probabilities, test_ds.metadata))
+    _write_csv(reports / "timings.csv",
+               ("cell", "phase", "view", "repetitions",
+                "train_seconds_mean", "infer_seconds_mean"),
+               _timing_rows(cells, timings))
+    _write_predictions_csv(reports / "predictions.csv", test_ds.labels,
+                           probabilities, test_ds.metadata)
     return RunOutcome(records=tuple(rows), cells=tuple(cells),
                       trainings_executed=trainings, best_cell=best,
                       output_dir=str(out_dir))
 
 
+def _run_protocol(kind: str, phases, dataset,
+                  config: ExperimentConfig) -> RunOutcome:
+    """Run a protocol: an ordered tuple of phases.
+
+    A phase maps the prepared dataset, the config and the rows of the
+    earlier phases to the cells it trains and the cells that repeat the
+    rows of an earlier cell with the same label; the repeated cells come
+    first in the run's cell order. A phase that cannot choose its cells
+    from those rows raises RuntimeError after the rows so far are written
+    to ``records.csv``. Each phase trains ``cells × repetitions`` models.
+    """
+    if isinstance(dataset, (str, Path)):
+        dataset = load_dataset(dataset)
+    if config.views:
+        dataset = dataset.restrict(list(config.views))
+    if dataset.task != config.task:
+        raise ConfigError(
+            f"config expects task {config.task!r} but dataset is "
+            f"{dataset.task!r}")
+    _check_group_fields(dataset.metadata, config.group_by)
+    out_dir = Path(config.output_dir)
+    fingerprint = config.fingerprint(dataset_fingerprint(dataset))
+    split = stratified_split(dataset, config.test_fraction, config.seed_base)
+
+    cells, rows, timings, predictions, trainings = [], [], [], {}, 0
+    for phase in phases:
+        try:
+            trained, reused = phase(dataset, config, rows)
+        except RuntimeError:
+            write_records_csv(out_dir / "records.csv", rows)
+            raise
+        for cell in reused:
+            rows += [dict(row, phase=cell.phase, status=(
+                "reused" if row["status"] == "ok" else "error"))
+                for row in rows if row["cell"] == cell.label]
+            timings += [dict(timing, phase=cell.phase)
+                        for timing in timings if timing["cell"] == cell.label]
+        cells += (*reused, *trained)
+        more_rows, more_timings = _execute(trained, split, config, out_dir,
+                                           fingerprint, predictions)
+        rows += more_rows
+        timings += more_timings
+        trainings += len(trained) * config.repetitions
+    return _finalize(kind, config, out_dir, fingerprint, cells, rows,
+                     timings, trainings, split, predictions)
+
+
+def _config_cell(dataset, config, rows) -> tuple:
+    return (CellSpec(config.encoder, config.strategy, config.component),), ()
+
+
+def _view_cells(dataset, config, rows) -> tuple:
+    return tuple(CellSpec(config.encoder, "Input", phase="baseline",
+                          view=name) for name in dataset.view_names), ()
+
+
+def _grid_base_cells(dataset, config, rows) -> tuple:
+    return tuple(cell for cell in grid_cells(GRID_ENCODERS[0])
+                 if cell.component == "none"), ()
+
+
+def _grid_component_cells(dataset, config, rows) -> tuple:
+    encoder = config.component_encoder
+    if encoder == "best":
+        try:
+            encoder = best_encoder(rows, config.selection_metric)
+        except ConfigError as exc:
+            raise RuntimeError(
+                f"cannot resolve component encoder: {exc}") from exc
+    return tuple(cell for cell in grid_cells(encoder)
+                 if cell.component != "none"), ()
+
+
+def _search_input_cells(dataset, config, rows) -> tuple:
+    return tuple(cell for cell in search_cells(GRID_ENCODERS[0])
+                 if cell.phase == "phase1"), ()
+
+
+def _search_winner_cells(dataset, config, rows) -> tuple:
+    ok = {row["encoder"] for row in rows if row["status"] == "ok"}
+    failed = sorted({row["encoder"] for row in rows} - ok)
+    if failed:
+        raise RuntimeError(
+            f"phase 1 failed for encoder(s) {failed}; phase 2 aborted")
+    winner = best_encoder(rows, config.selection_metric)
+    phase2 = [cell for cell in search_cells(winner) if cell.phase == "phase2"]
+    # The winner's Input cell repeats its phase-1 numbers verbatim.
+    return (tuple(cell for cell in phase2 if cell.strategy != "Input"),
+            tuple(cell for cell in phase2 if cell.strategy == "Input"))
+
+
+def _reject_cell_choice(kind: str, config: ExperimentConfig) -> None:
+    """The grid and the search run fixed cells, so a merge or component
+    set in the config would be dropped; refuse it instead."""
+    if config.merge is not None or config.component != "none":
+        raise ConfigError(
+            f"{kind} runs its own cells and cannot apply 'merge' or "
+            f"'component'; got merge={config.merge!r}, "
+            f"component={config.component!r}")
+
+
 def run_cell(dataset, config: ExperimentConfig) -> RunOutcome:
     """Train and score the single cell named by the config."""
-    _, train_part, test_part, out_dir, fingerprint = _prepare(dataset,
-                                                              config)
-    cells = (CellSpec(config.encoder, config.strategy, config.component),)
-    data = {cells[0].label: (train_part, test_part)}
-    predictions: dict = {}
-    rows, timings, executed = _execute(cells, data, config, out_dir,
-                                       fingerprint, config.merge, predictions)
-    return _finalize("cell", config, out_dir, fingerprint, cells, rows,
-                     timings, executed, data, predictions)
+    return _run_protocol("cell", (_config_cell,), dataset, config)
 
 
 def run_grid(dataset, config: ExperimentConfig) -> RunOutcome:
     """Full protocol: 25 base cells, then 6 component cells with the
     resolved component encoder."""
-    _, train_part, test_part, out_dir, fingerprint = _prepare(dataset,
-                                                              config)
-    planned = grid_cells(config.component_encoder
-                         if config.component_encoder != "best"
-                         else GRID_ENCODERS[0])
-    assert len(planned) == GRID_CELL_COUNT
-    base_cells = tuple(cell for cell in planned if cell.component == "none")
-
-    data = {cell.label: (train_part, test_part) for cell in planned}
-    predictions: dict = {}
-    rows, timings, executed = _execute(base_cells, data, config, out_dir,
-                                       fingerprint, None, predictions)
-    if config.component_encoder != "best":
-        resolved = config.component_encoder
-    else:
-        try:
-            resolved = best_encoder(rows, config.selection_metric)
-        except ConfigError as exc:
-            write_records_csv(out_dir / "records.csv", rows)
-            raise RuntimeError(
-                f"cannot resolve component encoder: {exc}") from exc
-
-    cells = grid_cells(resolved)
-    component_cells = cells[len(base_cells):]
-    data.update({cell.label: (train_part, test_part)
-                 for cell in component_cells})
-    comp_rows, comp_timings, comp_executed = _execute(
-        component_cells, data, config, out_dir, fingerprint, None,
-        predictions)
-    return _finalize("grid", config, out_dir, fingerprint, cells,
-                     rows + comp_rows, timings + comp_timings,
-                     executed + comp_executed, data, predictions)
+    _reject_cell_choice("grid", config)
+    return _run_protocol("grid", (_grid_base_cells, _grid_component_cells),
+                         dataset, config)
 
 
 def run_search(dataset, config: ExperimentConfig) -> RunOutcome:
     """Reduced protocol: Input-fusion over all encoders picks a winner,
     which then runs every strategy and component; the winner's Input cell
     is reused, not retrained."""
-    _, train_part, test_part, out_dir, fingerprint = _prepare(dataset,
-                                                              config)
-    planned = search_cells(GRID_ENCODERS[0])
-    assert len(planned) == SEARCH_CELL_COUNT
-    phase1 = tuple(cell for cell in planned if cell.phase == "phase1")
-
-    data = {cell.label: (train_part, test_part) for cell in phase1}
-    predictions: dict = {}
-    rows, timings, executed = _execute(phase1, data, config, out_dir,
-                                       fingerprint, None, predictions)
-
-    failed = sorted({cell.encoder for cell in phase1
-                     if not any(row["cell"] == cell.label
-                                and row["status"] == "ok" for row in rows)})
-    if failed:
-        write_records_csv(out_dir / "records.csv", rows)
-        raise RuntimeError(
-            f"phase 1 failed for encoder(s) {failed}; phase 2 aborted")
-
-    winner = best_encoder(rows, config.selection_metric)
-    cells = search_cells(winner)
-    phase2 = tuple(cell for cell in cells if cell.phase == "phase2")
-    reused_cell = next(cell for cell in phase2 if cell.strategy == "Input")
-    trainable = tuple(cell for cell in phase2 if cell.strategy != "Input")
-
-    # The winner's Input cell repeats its phase-1 numbers verbatim.
-    reused_rows = []
-    reused_timings = []
-    source_label = CellSpec(winner, "Input", phase="phase1").label
-    for row in rows:
-        if row["cell"] == source_label:
-            copy = dict(row)
-            copy["phase"] = "phase2"
-            copy["status"] = "reused" if row["status"] == "ok" else "error"
-            reused_rows.append(copy)
-    for timing in timings:
-        if timing["cell"] == source_label:
-            copy = dict(timing)
-            copy["phase"] = "phase2"
-            reused_timings.append(copy)
-
-    data.update({cell.label: (train_part, test_part) for cell in phase2})
-    more_rows, more_timings, more_executed = _execute(
-        trainable, data, config, out_dir, fingerprint, None, predictions)
-
-    index = {(cell.phase, cell.label): i for i, cell in enumerate(cells)}
-    all_rows = sorted(rows + reused_rows + more_rows,
-                      key=lambda row: (index[(row["phase"], row["cell"])],
-                                       row["repetition"]))
-    all_timings = timings + reused_timings + more_timings
-    return _finalize("search", config, out_dir, fingerprint, cells,
-                     all_rows, all_timings, executed + more_executed, data,
-                     predictions)
+    _reject_cell_choice("search", config)
+    return _run_protocol("search", (_search_input_cells, _search_winner_cells),
+                         dataset, config)
 
 
 def single_view_baselines(dataset, config: ExperimentConfig) -> RunOutcome:
     """One Input-fusion model per view with the configured encoder."""
-    full, train_part, test_part, out_dir, fingerprint = _prepare(dataset,
-                                                                 config)
-    cells = tuple(CellSpec(config.encoder, "Input", phase="baseline",
-                           view=name) for name in full.view_names)
-    data = {cell.label: (train_part.restrict([cell.view]),
-                         test_part.restrict([cell.view]))
-            for cell in cells}
-    predictions: dict = {}
-    rows, timings, executed = _execute(cells, data, config, out_dir,
-                                       fingerprint, config.merge, predictions)
-    return _finalize("baselines", config, out_dir, fingerprint, cells, rows,
-                     timings, executed, data, predictions)
+    return _run_protocol("baselines", (_view_cells,), dataset, config)
 
 
 def _read_predictions(path) -> tuple:
@@ -986,28 +978,12 @@ def reemit_reports(run_dir) -> None:
     except ValueError as exc:
         raise ConfigError(f"unreadable manifest: {exc}") from None
     config = ExperimentConfig.from_dict(manifest["config"])
-    rows = read_records_csv(records_path)
-
-    reports = run_dir / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
-    summary = summarize(rows)
-    write_summary_csv(reports / "summary.csv", summary)
-    write_summary_markdown(reports / "summary.md", summary,
-                           manifest["best_cell"], manifest["kind"])
-
-    predictions_path = reports / "predictions.csv"
-    if predictions_path.is_file():
-        labels, probabilities, metadata = _read_predictions(predictions_path)
-        report = evaluate(labels, probabilities, probabilities.shape[1])
-        _write_csv(reports / "per_class.csv",
-                   ("class", "precision", "recall", "f1"),
-                   _per_class_rows(report))
-        for key in config.group_by:
-            _write_csv(reports / f"per_{key}.csv",
-                       ("group", "samples", "average_accuracy", "kappa",
-                        "f1_macro"),
-                       _grouped_rows(labels, probabilities, metadata, key,
-                                     probabilities.shape[1]))
+    predictions_path = run_dir / "reports" / "predictions.csv"
+    _write_tables(run_dir / "reports", manifest["kind"],
+                  manifest["best_cell"], config.group_by,
+                  read_records_csv(records_path),
+                  _read_predictions(predictions_path)
+                  if predictions_path.is_file() else None)
 
 
 # ---------------------------------------------------------------------------

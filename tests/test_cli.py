@@ -348,6 +348,16 @@ class TestGridAndSearch:
         assert manifest["kind"] == "search"
         assert manifest["trainings_executed"] == 15
 
+    @pytest.mark.parametrize("command", ["grid", "search"])
+    def test_explicit_merge_is_validation_error(self, capsys, data_path,
+                                                tmp_path, command):
+        config = write_config(tmp_path / "config.json", data_path,
+                              tmp_path / "run", views=[], merge="average")
+        code, _, err = run_cli(capsys, command, "--config", str(config))
+        assert code == 1
+        assert "merge" in err
+        assert not (tmp_path / "run").exists()
+
     def test_jobs_flag_accepted(self, capsys, data_path, tmp_path):
         config = write_config(tmp_path / "config.json", data_path,
                               tmp_path / "run", views=[])

@@ -878,6 +878,49 @@ class TestRunSearch:
 
 
 # ---------------------------------------------------------------------------
+# protocol plans
+# ---------------------------------------------------------------------------
+
+
+class TestProtocolPlans:
+    @pytest.mark.parametrize("runner,options,planned", [
+        (run_cell, {"repetitions": 2}, 2),
+        (run_grid, {}, 31),
+        (run_search, {}, 15),
+        (single_view_baselines, {"repetitions": 2}, 4),
+    ], ids=["cell", "grid", "search", "baselines"])
+    def test_planned_trainings_equal_fits(self, tiny_dataset, tmp_path,
+                                          monkeypatch, runner, options,
+                                          planned):
+        import mvcrop.experiments as exp
+
+        fits = []
+
+        def counted_fit(cell, model, dataset, config):
+            fits.append((cell.label, config.seed))
+            return 0.0
+
+        monkeypatch.setattr(exp, "_fit", counted_fit)
+        outcome = runner(tiny_dataset, tiny_config(tmp_path, **options))
+        manifest = json.loads((tmp_path / "manifest").read_text())
+        assert len(fits) == planned
+        assert outcome.trainings_executed == planned
+        assert manifest["trainings_executed"] == planned
+
+    @pytest.mark.parametrize("runner", [run_grid, run_search],
+                             ids=["grid", "search"])
+    @pytest.mark.parametrize("choice", [{"merge": "average"},
+                                        {"component": "gfusion"}],
+                             ids=["merge", "component"])
+    def test_fixed_cell_protocols_reject_cell_choice(
+            self, tiny_dataset, tmp_path, runner, choice):
+        config = tiny_config(tmp_path / "run", **choice)
+        with pytest.raises(ConfigError, match=next(iter(choice))):
+            runner(tiny_dataset, config)
+        assert not (tmp_path / "run").exists()
+
+
+# ---------------------------------------------------------------------------
 # single-view baselines and crash isolation
 # ---------------------------------------------------------------------------
 
@@ -1203,10 +1246,8 @@ class TestReportsFromRunScores:
         cells = (CellSpec("GRU", "Feature"), CellSpec("TAE", "Input"))
         (tmp_path / "checkpoints").mkdir()
         predictions = {}
-        rows, _, executed = exp._execute(
-            cells, {c.label: (train_part, test_part) for c in cells},
-            config, tmp_path, "fp", None, predictions)
-        assert executed == 6
+        rows, _ = exp._execute(cells, (train_part, test_part), config,
+                               tmp_path, "fp", predictions)
         assert [(r["cell"], r["repetition"]) for r in rows] == [
             (c.label, rep) for c in cells for rep in range(3)]
         assert list(predictions) == [rows[1]["checkpoint"],
