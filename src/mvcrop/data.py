@@ -8,16 +8,14 @@ all downstream computation promotes to 64-bit.
 from __future__ import annotations
 
 import csv
-import json
 import math
-import struct
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import container
 from .errors import ConfigError, FormatError, ShapeError, check_structure
 from .rngutil import named_stream
 from .views import ViewSchema, canonical_schema
@@ -179,14 +177,11 @@ class Dataset:
             raise ShapeError("indices must be one-dimensional")
         if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
             raise ConfigError(f"subset indices out of range for {len(self)} samples")
-        return Dataset(
-            task=self.task,
-            classes=self.classes,
-            schemas=self.schemas,
+        return replace(
+            self,
             arrays={name: self.arrays[name][idx] for name in self.view_names},
             labels=self.labels[idx],
             metadata={key: arr[idx] for key, arr in self.metadata.items()},
-            split=self.split,
         )
 
     def restrict(self, names: Sequence[str]) -> "Dataset":
@@ -194,21 +189,29 @@ class Dataset:
         for name in names:
             if name not in self.view_names:
                 raise ConfigError(f"unknown view {name!r}")
-        schemas = tuple(self.schema(name) for name in names)
-        return Dataset(
-            task=self.task,
-            classes=self.classes,
-            schemas=schemas,
+        return replace(
+            self,
+            schemas=tuple(self.schema(name) for name in names),
             arrays={name: self.arrays[name] for name in names},
-            labels=self.labels,
-            metadata=self.metadata,
-            split=self.split,
         )
 
 
 # ---------------------------------------------------------------------------
 # NDVI
 # ---------------------------------------------------------------------------
+
+
+def _ndvi(optical: np.ndarray, red_index: int, nir_index: int) -> np.ndarray:
+    """NDVI over the last (channel) axis, kept as a one-channel axis."""
+    channels = optical.shape[-1]
+    for idx in (red_index, nir_index):
+        if not 0 <= idx < channels:
+            raise ConfigError(f"band index {idx} out of range for {channels} channels")
+    red = optical[..., red_index]
+    nir = optical[..., nir_index]
+    den = nir + red
+    safe = np.where(den == 0.0, 1.0, den)
+    return np.where(den == 0.0, 0.0, (nir - red) / safe)[..., None]
 
 
 def compute_ndvi(optical, red_index: int = 2, nir_index: int = 6) -> np.ndarray:
@@ -219,16 +222,7 @@ def compute_ndvi(optical, red_index: int = 2, nir_index: int = 6) -> np.ndarray:
     arr = np.asarray(optical, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"optical series must be [T, channels], got {arr.shape}")
-    channels = arr.shape[1]
-    for idx in (red_index, nir_index):
-        if not 0 <= idx < channels:
-            raise ConfigError(f"band index {idx} out of range for {channels} channels")
-    red = arr[:, red_index]
-    nir = arr[:, nir_index]
-    den = nir + red
-    safe = np.where(den == 0.0, 1.0, den)
-    out = np.where(den == 0.0, 0.0, (nir - red) / safe)
-    return out[:, None]
+    return _ndvi(arr, red_index, nir_index)
 
 
 def with_ndvi(dataset: Dataset, red_index: int = 2, nir_index: int = 6) -> Dataset:
@@ -237,25 +231,12 @@ def with_ndvi(dataset: Dataset, red_index: int = 2, nir_index: int = 6) -> Datas
         raise ConfigError("ndvi derivation requires an 'optical' view")
     if "ndvi" in dataset.view_names:
         raise ConfigError("dataset already has an 'ndvi' view")
-    optical = dataset.arrays["optical"].astype(np.float64)
-    red = optical[:, :, red_index]
-    nir = optical[:, :, nir_index]
-    if not 0 <= red_index < optical.shape[2] or not 0 <= nir_index < optical.shape[2]:
-        raise ConfigError("band index out of range")
-    den = nir + red
-    safe = np.where(den == 0.0, 1.0, den)
-    ndvi = np.where(den == 0.0, 0.0, (nir - red) / safe)[:, :, None]
+    ndvi = _ndvi(dataset.arrays["optical"].astype(np.float64), red_index, nir_index)
     schema = ViewSchema("ndvi", True, 1, dataset.schema("optical").steps)
-    arrays = dict(dataset.arrays)
-    arrays["ndvi"] = ndvi
-    return Dataset(
-        task=dataset.task,
-        classes=dataset.classes,
+    return replace(
+        dataset,
         schemas=dataset.schemas + (schema,),
-        arrays=arrays,
-        labels=dataset.labels,
-        metadata=dataset.metadata,
-        split=dataset.split,
+        arrays={**dataset.arrays, "ndvi": ndvi},
     )
 
 
@@ -391,8 +372,6 @@ def entropy_report(dataset: Dataset, segments: int = 2) -> EntropyReport:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"MVDS"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIQQ")  # magic, version, sample count, manifest length
 _BLOCK_DTYPES = {"<f4", "<f8", "<i8"}
 _MANIFEST_SPEC = {
     "task": str,
@@ -417,26 +396,22 @@ def _schema_dict(schema: ViewSchema) -> dict:
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write ``dataset`` to ``path`` in the MVDS binary container layout."""
-    n = len(dataset)
     blocks = []
-    payload = []
-    offset = 0
+    arrays = []
 
     def add_block(name: str, kind: str, arr: np.ndarray, dtype: str) -> None:
-        nonlocal offset
-        data = np.ascontiguousarray(arr).astype(dtype, copy=False).tobytes(order="C")
+        arr = np.asarray(arr, dtype=dtype)
         blocks.append(
             {
                 "name": name,
                 "kind": kind,
                 "dtype": dtype,
                 "shape": list(arr.shape),
-                "offset": offset,
-                "nbytes": len(data),
+                "offset": sum(a.nbytes for a in arrays),
+                "nbytes": arr.nbytes,
             }
         )
-        payload.append(data)
-        offset += len(data)
+        arrays.append(arr)
 
     for schema in dataset.schemas:
         add_block(schema.name, "view", dataset.arrays[schema.name], "<f4")
@@ -460,89 +435,54 @@ def save_dataset(dataset: Dataset, path) -> None:
         "blocks": blocks,
         "strings": strings,
     }
-    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, n, len(body)))
-        fh.write(body)
-        for chunk in payload:
-            fh.write(chunk)
+    container.write(path, _MAGIC, (len(dataset),), manifest, arrays)
 
 
 def load_dataset(path) -> Dataset:
     """Read an MVDS container back into a :class:`Dataset` (bit-exact)."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read container: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise FormatError("truncated container header")
-    magic, version, count, manifest_len = _HEADER.unpack_from(raw, 0)
-    if magic != _MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
-        raise FormatError(f"unsupported container version {version}")
-    if len(raw) < _HEADER.size + manifest_len:
-        raise FormatError("truncated manifest")
-    try:
-        manifest = json.loads(raw[_HEADER.size : _HEADER.size + manifest_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable manifest: {exc}") from exc
-    check_structure(manifest, _MANIFEST_SPEC)
+    (count,), manifest, payload = container.read(
+        path, _MAGIC, 1, _MANIFEST_SPEC, "container")
     for key, values in manifest["strings"].items():
-        check_structure(values, [str], f"manifest.strings.{key}")
-    data = raw[_HEADER.size + manifest_len :]
+        check_structure(values, [str], f"container manifest.strings.{key}")
 
-    decoded = {}
+    table = []
     for block in manifest["blocks"]:
-        dtype_tag = block["dtype"]
-        if dtype_tag not in _BLOCK_DTYPES:
-            raise FormatError(f"block {block['name']!r} has unsupported dtype {dtype_tag!r}")
-        dtype = np.dtype(dtype_tag)
-        shape = tuple(block["shape"])
-        expected = math.prod(shape) * dtype.itemsize
+        name, dtype, shape = block["name"], block["dtype"], tuple(block["shape"])
+        if dtype not in _BLOCK_DTYPES:
+            raise FormatError(f"block {name!r} has unsupported dtype {dtype!r}")
+        expected = math.prod(shape) * np.dtype(dtype).itemsize
         if block["nbytes"] != expected:
             raise FormatError(
-                f"block {block['name']!r}: manifest says {block['nbytes']} bytes "
+                f"block {name!r}: manifest says {block['nbytes']} bytes "
                 f"but shape {shape} needs {expected}"
             )
-        start, stop = block["offset"], block["offset"] + expected
-        if stop > len(data):
-            raise FormatError(f"block {block['name']!r} is truncated")
-        arr = np.frombuffer(data[start:stop], dtype=dtype).reshape(shape).copy()
         if shape and shape[0] != count:
-            raise FormatError(
-                f"block {block['name']!r} has {shape[0]} samples, header says {count}"
-            )
-        decoded[(block["kind"], block["name"])] = arr
+            raise FormatError(f"block {name!r} has {shape[0]} samples, header says {count}")
+        table.append(((block["kind"], name), dtype, shape, block["offset"]))
+    decoded = container.blocks(payload, table)
 
+    metadata = {name: arr for (kind, name), arr in decoded.items() if kind == "metadata"}
+    metadata.update(
+        (key, np.asarray(values, dtype=str)) for key, values in manifest["strings"].items()
+    )
     try:
         schemas = tuple(
             ViewSchema(s["name"], s["temporal"], s["channels"], s["steps"])
             for s in manifest["schemas"]
         )
-        arrays = {}
-        for schema in schemas:
-            if ("view", schema.name) not in decoded:
-                raise FormatError(f"missing view block {schema.name!r}")
-            arrays[schema.name] = decoded[("view", schema.name)]
-        if ("labels", "labels") not in decoded:
-            raise FormatError("missing labels block")
-        metadata = {}
-        for (kind, name), arr in decoded.items():
-            if kind == "metadata":
-                metadata[name] = arr
-        for key, values in manifest["strings"].items():
-            metadata[key] = np.asarray(values, dtype=str)
         return Dataset(
             task=manifest["task"],
             classes=manifest["classes"],
             schemas=schemas,
-            arrays=arrays,
+            arrays={s.name: decoded[("view", s.name)] for s in schemas},
             labels=decoded[("labels", "labels")],
             metadata=metadata,
             split=manifest["split"],
         )
-    except (ConfigError, ShapeError, KeyError) as exc:
+    except KeyError as exc:
+        kind, name = exc.args[0]
+        raise FormatError(f"container has no {kind} block {name!r}") from exc
+    except (ConfigError, ShapeError) as exc:
         raise FormatError(f"inconsistent container: {exc}") from exc
 
 

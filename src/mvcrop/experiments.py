@@ -176,6 +176,8 @@ class ExperimentConfig:
         object.__setattr__(self, "group_by", tuple(self.group_by))
         object.__setattr__(self, "encoder_options",
                            dict(self.encoder_options))
+        if self.component is None:  # JSON null names no component
+            object.__setattr__(self, "component", "none")
         if self.task not in _TASKS:
             raise ConfigError(f"unknown task {self.task!r}; known: {_TASKS}")
         if self.encoder not in GRID_ENCODERS:

@@ -4,17 +4,16 @@ checkpoints."""
 
 from __future__ import annotations
 
-import json
-import struct
+import math
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import container
 from .data import Dataset
-from .errors import ConfigError, FormatError, NumericError, ShapeError, check_structure
+from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fusion import EnsembleModel, multi_loss
 from .rngutil import member_seed, named_stream
 from .tensor import Parameter, Tape, Tensor, backward, weighted_nll
@@ -393,62 +392,31 @@ def train_ensemble(model, dataset: Dataset, config: TrainConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"MVLC"
-_CKPT_VERSION = 1
-_CKPT_HEADER = struct.Struct("<4sIQ")  # magic, version, manifest length
 _CKPT_SPEC = {"entries": [{"name": str, "kind": str, "shape": [int]}], "extra": dict}
+
+
+def _state(model) -> dict:
+    """``{(kind, name): array}`` over parameters, then buffers, in walk order."""
+    state = {("param", n): p.data for n, p in model.named_parameters().items()}
+    state.update({("buffer", n): b for n, b in model.named_buffers().items()})
+    return state
 
 
 def save_checkpoint(model, path, extra: dict | None = None) -> None:
     """Serialize parameters and buffers: header, JSON manifest, f64 blocks."""
-    params = model.named_parameters()
-    buffers = model.named_buffers()
-    entries = [
-        {"name": name, "kind": "param", "shape": list(p.data.shape)}
-        for name, p in params.items()
-    ] + [
-        {"name": name, "kind": "buffer", "shape": list(b.shape)}
-        for name, b in buffers.items()
-    ]
-    manifest = {"version": _CKPT_VERSION, "entries": entries, "extra": extra or {}}
-    body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, len(body)))
-        fh.write(body)
-        for name, p in params.items():
-            fh.write(np.ascontiguousarray(p.data).astype("<f8", copy=False).tobytes())
-        for name, b in buffers.items():
-            fh.write(np.ascontiguousarray(b).astype("<f8", copy=False).tobytes())
+    state = _state(model)
+    entries = [{"name": name, "kind": kind, "shape": list(arr.shape)}
+               for (kind, name), arr in state.items()]
+    manifest = {"version": container.VERSION, "entries": entries, "extra": extra or {}}
+    container.write(path, _CKPT_MAGIC, (), manifest,
+                    [np.asarray(arr, dtype="<f8") for arr in state.values()])
 
 
 def load_checkpoint(model, path) -> dict:
     """Restore a checkpoint into ``model`` and return the extra manifest."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read checkpoint: {exc}") from exc
-    if len(raw) < _CKPT_HEADER.size:
-        raise FormatError("truncated checkpoint header")
-    magic, version, manifest_len = _CKPT_HEADER.unpack_from(raw, 0)
-    if magic != _CKPT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {_CKPT_MAGIC!r}")
-    if version != _CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    if len(raw) < _CKPT_HEADER.size + manifest_len:
-        raise FormatError("truncated checkpoint manifest")
-    try:
-        manifest = json.loads(
-            raw[_CKPT_HEADER.size : _CKPT_HEADER.size + manifest_len].decode("utf-8")
-        )
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable checkpoint manifest: {exc}") from exc
-    check_structure(manifest, _CKPT_SPEC, "checkpoint manifest")
-
-    params = model.named_parameters()
-    buffers = model.named_buffers()
-    want = {("param", n): tuple(p.data.shape) for n, p in params.items()}
-    want.update({("buffer", n): tuple(b.shape) for n, b in buffers.items()})
-    entries = manifest["entries"]
-    got = {(e["kind"], e["name"]): tuple(e["shape"]) for e in entries}
+    _, manifest, payload = container.read(path, _CKPT_MAGIC, 0, _CKPT_SPEC, "checkpoint")
+    want = {key: arr.shape for key, arr in _state(model).items()}
+    got = {(e["kind"], e["name"]): tuple(e["shape"]) for e in manifest["entries"]}
     if want != got:
         missing = sorted(set(want) - set(got))
         surplus = sorted(set(got) - set(want))
@@ -458,25 +426,16 @@ def load_checkpoint(model, path) -> dict:
             f"unexpected {surplus}, shape mismatches {shapes})"
         )
 
-    data = raw[_CKPT_HEADER.size + manifest_len :]
-    offset = 0
-    loaded = {}
-    for entry in entries:
+    table, offset = [], 0
+    for entry in manifest["entries"]:
         shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8
-        if offset + nbytes > len(data):
-            raise FormatError(f"checkpoint block {entry['name']!r} is truncated")
-        loaded[(entry["kind"], entry["name"])] = (
-            np.frombuffer(data[offset : offset + nbytes], dtype="<f8").reshape(shape).copy()
-        )
-        offset += nbytes
-    if offset != len(data):
-        raise FormatError("checkpoint has trailing bytes")
+        table.append(((entry["kind"], entry["name"]), "<f8", shape, offset))
+        offset += math.prod(shape) * 8
+    loaded = container.blocks(payload, table)
 
-    for name, p in params.items():
+    for name, p in model.named_parameters().items():
         p.tensor.data = loaded[("param", name)]
-    buffer_values = {n: loaded[("buffer", n)] for _, n in
-                     [k for k in loaded if k[0] == "buffer"]}
+    buffer_values = {name: arr for (kind, name), arr in loaded.items() if kind == "buffer"}
     if buffer_values:
         model.load_buffers(buffer_values)
     return manifest["extra"]

@@ -145,7 +145,10 @@ class TestEntropy:
                    + m["blocks"][1:]},
         lambda m: {**m, "blocks": [{**m["blocks"][0], "shape": ["x"]}]
                    + m["blocks"][1:]},
-    ], ids=["json_list", "no_blocks", "negative_offset", "non_integer_shape"])
+        lambda m: {**m, "blocks": [{**m["blocks"][0], "shape": [0, 1 << 70],
+                                    "nbytes": 0}] + m["blocks"][1:]},
+    ], ids=["json_list", "no_blocks", "negative_offset", "non_integer_shape",
+            "zero_size_oversized_shape"])
     def test_malformed_container_is_validation_error(self, capsys, data_path,
                                                      tmp_path, edit):
         raw = data_path.read_bytes()

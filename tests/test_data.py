@@ -248,6 +248,10 @@ class TestNdvi:
         # source dataset is untouched
         assert "ndvi" not in ds.view_names
 
+    def test_with_ndvi_band_index_out_of_range(self):
+        with pytest.raises(ConfigError):
+            with_ndvi(tiny_dataset(), red_index=99)
+
     def test_with_ndvi_requires_optical(self):
         ds = tiny_dataset().restrict(["radar"])
         with pytest.raises(ConfigError):
@@ -492,6 +496,13 @@ class TestContainer:
         with pytest.raises(FormatError):
             load_dataset(tmp_path / "absent.mvds")
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "d.mvds"
+        save_dataset(tiny_dataset(), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError):
+            load_dataset(path)
+
 
 def rewrite_manifest(path, edit):
     """Replace the JSON manifest of the container at ``path`` with
@@ -507,6 +518,14 @@ def rewrite_manifest(path, edit):
 def _set_block(**fields):
     def edit(manifest):
         manifest["blocks"][0].update(fields)
+        return manifest
+    return edit
+
+
+def _move_block(name, onto):
+    def edit(manifest):
+        blocks = {block["name"]: block for block in manifest["blocks"]}
+        blocks[name]["offset"] = blocks[onto]["offset"]
         return manifest
     return edit
 
@@ -534,6 +553,9 @@ MALFORMED_MANIFESTS = {
     "offset_past_payload": _set_block(offset=1 << 40),
     # 2**64 elements wrap to 0 in int64 arithmetic
     "overflowing_shape": _set_block(shape=[1 << 32, 1 << 32, 1], nbytes=0),
+    "zero_size_oversized_shape": _set_block(shape=[0, 1 << 70], nbytes=0),
+    # same size as the labels block, so only the overlap is wrong
+    "overlapping_blocks": _move_block("year", onto="labels"),
 }
 
 

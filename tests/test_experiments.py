@@ -550,6 +550,17 @@ class TestRunCell:
             EncoderConfig(architecture="GRU", **TINY_OPTIONS), classes=2)
         assert outcome.records[0]["parameters"] == model.parameter_count()
 
+    def test_null_component_is_the_default_cell(self, cell_run, tiny_dataset,
+                                                tmp_path):
+        _, out, _ = cell_run
+        outcome = run_cell(tiny_dataset,
+                           tiny_config(tmp_path, repetitions=2, component=None))
+        assert [cell.label for cell in outcome.cells] == ["GRU/Feature"]
+        assert ((tmp_path / "records.csv").read_bytes()
+                == (out / "records.csv").read_bytes())
+        assert (sorted(p.name for p in (tmp_path / "checkpoints").iterdir())
+                == sorted(p.name for p in (out / "checkpoints").iterdir()))
+
     def test_run_directory_layout(self, cell_run):
         _, out, _ = cell_run
         assert (out / "manifest").is_file()
