@@ -460,6 +460,8 @@ def load_dataset(path) -> Dataset:
             raise FormatError(f"block {name!r} has {shape[0]} samples, header says {count}")
         table.append(((block["kind"], name), dtype, shape, block["offset"]))
     decoded = container.blocks(payload, table)
+    if len(decoded) != len(table):
+        raise FormatError("container repeats a block")
 
     metadata = {name: arr for (kind, name), arr in decoded.items() if kind == "metadata"}
     metadata.update(
@@ -470,6 +472,11 @@ def load_dataset(path) -> Dataset:
             ViewSchema(s["name"], s["temporal"], s["channels"], s["steps"])
             for s in manifest["schemas"]
         )
+        read = {("view", s.name) for s in schemas} | {("labels", "labels")}
+        for kind, name in decoded:
+            if kind != "metadata" and (kind, name) not in read:
+                raise FormatError(f"block {name!r} of kind {kind!r} is not a "
+                                  "schema's view, the labels or metadata")
         return Dataset(
             task=manifest["task"],
             classes=manifest["classes"],

@@ -342,11 +342,14 @@ def _recurrent_operands(x, w_in, w_hid, b_in, b_hid, state, gates: int):
 
 def _input_projection(x: Array, w_in: Array, b_in: Array) -> tuple[Array, Array]:
     """Time-major copy ``[T, B, D]`` of ``x`` and every step's input-side
-    pre-activation ``x_t @ w_in + b_in`` as one GEMM, ``[T, B, G]``, so the
-    time loop reads contiguous blocks."""
-    batch, steps, width = x.shape
+    pre-activation ``x_t @ w_in + b_in``, ``[T, B, G]``, so the time loop
+    reads contiguous blocks. One batched matmul makes each step's product
+    the same BLAS call as ``x_t @ w_in`` alone (a single ``[T*B, D]`` GEMM
+    is not at B=1, where that call is a GEMV); the bias is added in place."""
     xs = np.ascontiguousarray(x.transpose(1, 0, 2))
-    return xs, xs.reshape(steps * batch, width).dot(w_in).reshape(steps, batch, -1) + b_in
+    gi = xs @ w_in
+    gi += b_in
+    return xs, gi
 
 
 def gru_sequence(x, w_in, w_hid, b_in, b_hid, h0=None) -> Tensor:
@@ -357,9 +360,10 @@ def gru_sequence(x, w_in, w_hid, b_in, b_hid, h0=None) -> Tensor:
     ``gh = h @ w_hid + b_hid``, ``z, r = sigmoid(gi + gh)``,
     ``n = tanh(gi_n + r * gh_n)`` and the new state is
     ``(1 - z) * n + z * h``. The input projections of all steps are one
-    GEMM outside the time loop, and ``backward`` runs backpropagation through
-    time by hand, accumulating weight gradients from the last step to the
-    first. ``h0`` defaults to zeros.
+    batched matmul outside the time loop, and ``backward`` runs backpropagation
+    through time by hand, accumulating weight gradients from the last step
+    to the first. Each gate is evaluated only on its own block, and a step
+    saves only the arrays that ``backward`` reads. ``h0`` defaults to zeros.
     """
     inputs, (h0,), (batch, steps, hidden) = _recurrent_operands(
         x, w_in, w_hid, b_in, b_hid, (h0,), gates=3)
@@ -374,12 +378,14 @@ def gru_sequence(x, w_in, w_hid, b_in, b_hid, h0=None) -> Tensor:
     hs = np.empty((batch, steps, hidden))
     saved = []
     for t in range(steps):
-        gh = h.dot(wh) + bh
-        gates = _sigmoid(gi[t] + gh)  # z and r; the n block is unused
-        z = gates[:, :hidden]
-        n = np.tanh(gi[t, :, two:] + gates[:, hidden:two] * gh[:, two:])
+        gh = h.dot(wh)
+        gh += bh
+        zr = _sigmoid(gi[t, :, :two] + gh[:, :two])
+        z = zr[:, :hidden]
+        gh_n = gh[:, two:]
+        n = np.tanh(gi[t, :, two:] + zr[:, hidden:] * gh_n)
         if taping:
-            saved.append((h, gates[:, :two], n, gh[:, two:]))
+            saved.append((h, zr, n, gh_n.copy()))
         h = (1.0 - z) * n + z * h
         hs[:, t] = h
     out = _make(hs)
@@ -400,15 +406,11 @@ def gru_sequence(x, w_in, w_hid, b_in, b_hid, h0=None) -> Tensor:
             if via_z is not None:
                 dh = dh + via_z + via_w
             via_z = dh * z
-            dzr = np.empty_like(zr)
-            dzr[:, :hidden] = dh * h_prev - dh * n
             dn = dh * (1.0 - z) * (1.0 - n * n)
-            dzr[:, hidden:] = dn * gh_n
-            dgi = np.empty((batch, 3 * hidden))
-            dgi[:, :two] = dzr * zr * (1.0 - zr)
-            dgi[:, two:] = dn
-            dgh = dgi.copy()
-            dgh[:, two:] = dn * r
+            dzr = np.concatenate((dh * h_prev - dh * n, dn * gh_n), axis=1)
+            dzr = dzr * zr * (1.0 - zr)
+            dgi = np.concatenate((dzr, dn), axis=1)
+            dgh = np.concatenate((dzr, dn * r), axis=1)
             via_w = dgh @ wh.T
             dw_hid = _accumulate(dw_hid, h_prev.T @ dgh)
             db_hid = _accumulate(db_hid, dgh.sum(axis=0))
@@ -433,9 +435,9 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid, h0=None, c0=None) -> tuple[Tensor
     h @ w_hid + b_hid``, ``i, f, o = sigmoid(s)``, ``g = tanh(s_g)``,
     ``c = f * c + i * g`` and ``h = o * tanh(c)``. Returns the hidden states
     ``[B, T, H]`` and the final cell state ``[B, H]``. As in
-    ``gru_sequence``, the input projection is one GEMM and ``backward`` is
-    hand-written backpropagation through time. ``h0``/``c0`` default to
-    zeros.
+    ``gru_sequence``, the input projection is one batched matmul, each gate is
+    evaluated only on its own blocks and ``backward`` is hand-written
+    backpropagation through time. ``h0``/``c0`` default to zeros.
     """
     inputs, (h0, c0), (batch, steps, hidden) = _recurrent_operands(
         x, w_in, w_hid, b_in, b_hid, (h0, c0), gates=4)
@@ -450,14 +452,16 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid, h0=None, c0=None) -> tuple[Tensor
     hs = np.empty((batch, steps, hidden))
     saved = []
     for t in range(steps):
-        s = gi[t] + (h.dot(wh) + bh)
-        act = _sigmoid(s)  # the g block of act is unused
+        s = h.dot(wh)
+        s += bh
+        np.add(gi[t], s, out=s)
+        ifo = _sigmoid(np.concatenate((s[:, :two], s[:, three:]), axis=1))
         cand = np.tanh(s[:, two:three])
-        c_new = act[:, hidden:two] * c + act[:, :hidden] * cand
+        c_new = ifo[:, hidden:two] * c + ifo[:, :hidden] * cand
         tc = np.tanh(c_new)
         if taping:
-            saved.append((h, c, act, cand, tc))
-        h = act[:, three:] * tc
+            saved.append((h, c, ifo, cand, tc))
+        h = ifo[:, two:] * tc
         c = c_new
         hs[:, t] = h
     out = (_make(hs), _make(c))
@@ -470,8 +474,8 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid, h0=None, c0=None) -> tuple[Tensor
         dw_in = dw_hid = db = None
         via_h, via_c = None, g_c  # gradients reaching h_{t-1} and c_{t-1}
         for t in range(steps - 1, -1, -1):
-            h_prev, c_prev, act, cand, tc = saved[t]
-            i, f, o = act[:, :hidden], act[:, hidden:two], act[:, three:]
+            h_prev, c_prev, ifo, cand, tc = saved[t]
+            i, f, o = ifo[:, :hidden], ifo[:, hidden:two], ifo[:, two:]
             if g_hs is None:
                 dh = np.zeros((batch, hidden)) if via_h is None else via_h
             else:
@@ -479,13 +483,10 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid, h0=None, c0=None) -> tuple[Tensor
             dc = dh * o * (1.0 - tc * tc)
             if via_c is not None:
                 dc = via_c + dc
-            dact = np.empty_like(act)
-            dact[:, :hidden] = dc * cand
-            dact[:, hidden:two] = dc * c_prev
-            dact[:, two:three] = dc * i
-            dact[:, three:] = dh * tc
-            ds = dact * act * (1.0 - act)
-            ds[:, two:three] = dact[:, two:three] * (1.0 - cand * cand)
+            difo = np.concatenate((dc * cand, dc * c_prev, dh * tc), axis=1)
+            difo = difo * ifo * (1.0 - ifo)
+            ds = np.concatenate(
+                (difo[:, :two], dc * i * (1.0 - cand * cand), difo[:, two:]), axis=1)
             via_c = dc * f
             via_h = ds @ wh.T
             dw_hid = _accumulate(dw_hid, h_prev.T @ ds)

@@ -2,12 +2,15 @@
 run-directory layout, report re-emission, and the 0/1/2 exit-code contract."""
 
 import json
+import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mvcrop
 from mvcrop.cli import main
 from mvcrop.data import SynthSpec, load_dataset, save_dataset, synth_generate
 
@@ -147,8 +150,10 @@ class TestEntropy:
                    + m["blocks"][1:]},
         lambda m: {**m, "blocks": [{**m["blocks"][0], "shape": [0, 1 << 70],
                                     "nbytes": 0}] + m["blocks"][1:]},
+        lambda m: {**m, "blocks": [{**b, "kind": "junk"} if b["name"] == "year" else b
+                                   for b in m["blocks"]]},
     ], ids=["json_list", "no_blocks", "negative_offset", "non_integer_shape",
-            "zero_size_oversized_shape"])
+            "zero_size_oversized_shape", "unknown_block_kind"])
     def test_malformed_container_is_validation_error(self, capsys, data_path,
                                                      tmp_path, edit):
         raw = data_path.read_bytes()
@@ -395,8 +400,12 @@ class TestReport:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child imports the same mvcrop as this process, installed or not
+        source = str(Path(mvcrop.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (source, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
             [sys.executable, "-m", "mvcrop", "inspect-params"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0
         assert "43904" in proc.stdout

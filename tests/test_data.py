@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from mvcrop import container
 from mvcrop.data import (
     Dataset,
     EntropyReport,
@@ -503,6 +504,19 @@ class TestContainer:
         with pytest.raises(FormatError):
             load_dataset(path)
 
+    def test_view_block_no_schema_names_rejected(self, tmp_path):
+        path = tmp_path / "d.mvds"
+        save_dataset(tiny_dataset(), path)
+        (count,), manifest, payload = container.read(path, b"MVDS", 1, dict, "container")
+        ghost = np.ones((count, 3), dtype="<f4")
+        manifest["blocks"].append({"name": "ghost", "kind": "view", "dtype": "<f4",
+                                   "shape": [count, 3], "offset": len(payload),
+                                   "nbytes": ghost.nbytes})
+        container.write(path, b"MVDS", (count,), manifest,
+                        [np.frombuffer(payload, np.uint8), ghost])
+        with pytest.raises(FormatError, match="ghost"):
+            load_dataset(path)
+
 
 def rewrite_manifest(path, edit):
     """Replace the JSON manifest of the container at ``path`` with
@@ -526,6 +540,13 @@ def _move_block(name, onto):
     def edit(manifest):
         blocks = {block["name"]: block for block in manifest["blocks"]}
         blocks[name]["offset"] = blocks[onto]["offset"]
+        return manifest
+    return edit
+
+
+def _set_named_block(block_name, **fields):
+    def edit(manifest):
+        next(b for b in manifest["blocks"] if b["name"] == block_name).update(fields)
         return manifest
     return edit
 
@@ -556,6 +577,9 @@ MALFORMED_MANIFESTS = {
     "zero_size_oversized_shape": _set_block(shape=[0, 1 << 70], nbytes=0),
     # same size as the labels block, so only the overlap is wrong
     "overlapping_blocks": _move_block("year", onto="labels"),
+    # both once loaded without error, silently dropping a metadata column
+    "unknown_block_kind": _set_named_block("year", kind="junk"),
+    "repeated_block": _set_named_block("is_test", name="year"),
 }
 
 

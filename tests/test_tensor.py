@@ -455,25 +455,44 @@ class TestRecurrentSequences:
             res = T.grad_check(lambda t: _lstm_loss(case, T.lstm_sequence, name, t), case[name])
             assert res.ok, (name, res.max_rel_err)
 
+    @pytest.mark.parametrize("layout", ["c_order", "channel_outermost"])
+    @pytest.mark.parametrize("steps", [1, 12])
+    @pytest.mark.parametrize("batch", [1, 57, 128])
     @pytest.mark.parametrize("fused, reference, state", [
         (T.gru_sequence, _gru_steps, ("h0",)),
         (T.lstm_sequence, _lstm_steps, ("h0", "c0")),
     ])
-    def test_bit_identical_to_step_graph(self, fused, reference, state):
-        case = _recurrent_case(np.random.default_rng(9), gates=len(state) + 2)
+    def test_bit_identical_to_step_graph(self, fused, reference, state, batch, steps, layout):
+        """Outputs and every gradient equal the step graph's bit for bit,
+        signs of zeros included, and the untaped output equals the taped
+        one. One unit of the tanh block (GRU n, LSTM g) gets a pre-activation
+        near 800, whose sigmoid would underflow: any floating-point
+        exception raises, so an op that evaluated a gate on a block it does
+        not read would fail."""
+        hidden = 7
+        case = _recurrent_case(np.random.default_rng(9), gates=len(state) + 2,
+                               batch=batch, steps=steps, hidden=hidden)
+        case["b_in"][2 * hidden] = 800.0
+        if layout == "channel_outermost":  # the strides conv kernels return
+            case["x"] = case["x"].transpose(2, 0, 1).copy().transpose(1, 2, 0)
         runs = []
-        for op in (fused, reference):
-            leaves = {k: T.Tensor(case[k], requires_grad=True) for k in _WEIGHTS + state}
-            with T.Tape() as tape:
-                out = op(*(leaves[k] for k in _WEIGHTS + state))
-                hs, c = out if isinstance(out, tuple) else (out, None)
-                value = T.reduce_sum(T.mul(hs, T.Tensor(case["w_out"])))
-                if c is not None:
-                    value = T.add(value, T.reduce_sum(T.mul(c, T.Tensor(case["w_c"]))))
-            T.backward(value, tape)
-            runs.append([hs.data, value.data] + [leaves[k].grad for k in _WEIGHTS + state])
+        with np.errstate(all="raise"):
+            for op in (fused, reference):
+                leaves = {k: T.Tensor(case[k], requires_grad=True) for k in _WEIGHTS + state}
+                with T.Tape() as tape:
+                    out = op(*(leaves[k] for k in _WEIGHTS + state))
+                    hs, c = out if isinstance(out, tuple) else (out, None)
+                    value = T.reduce_sum(T.mul(hs, T.Tensor(case["w_out"])))
+                    if c is not None:
+                        value = T.add(value, T.reduce_sum(T.mul(c, T.Tensor(case["w_c"]))))
+                T.backward(value, tape)
+                runs.append([hs.data, value.data] + [leaves[k].grad for k in _WEIGHTS + state])
+            untaped = fused(*(case[k] for k in _WEIGHTS + state))
+        untaped = untaped[0] if isinstance(untaped, tuple) else untaped
+        assert np.array_equal(untaped.data, runs[0][0])
         for got, want in zip(*runs):
             assert got is not None and np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_one_record_per_sequence(self, rng):
         case = _recurrent_case(rng, gates=3)
