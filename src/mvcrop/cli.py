@@ -18,6 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import (
+    SYNTH_KINDS,
     SynthSpec,
     entropy_report,
     import_csv,
@@ -36,8 +37,6 @@ from .experiments import (
     run_search,
 )
 from .views import ViewSchema, canonical_schema
-
-_SYNTH_KINDS = ("complementary", "redundant", "noisy-view")
 
 
 class _UsageError(Exception):
@@ -74,7 +73,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    synth.add_argument("--kind", required=True, choices=_SYNTH_KINDS)
+    synth.add_argument("--kind", required=True, choices=SYNTH_KINDS)
     synth.add_argument("--samples", type=int, default=400)
     synth.add_argument("--noise", type=float, default=0.1)
     synth.add_argument("--seed", type=int, default=0)

@@ -171,6 +171,10 @@ class Dataset:
 
     # -- derived datasets ----------------------------------------------------
 
+    def batch(self, index) -> dict:
+        """``{view: array[index]}`` for a slice or an index array."""
+        return {name: self.arrays[name][index] for name in self.view_names}
+
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         if idx.ndim != 1:
@@ -179,7 +183,7 @@ class Dataset:
             raise ConfigError(f"subset indices out of range for {len(self)} samples")
         return replace(
             self,
-            arrays={name: self.arrays[name][idx] for name in self.view_names},
+            arrays=self.batch(idx),
             labels=self.labels[idx],
             metadata={key: arr[idx] for key, arr in self.metadata.items()},
         )
@@ -640,7 +644,7 @@ def import_csv(
 # synthetic generator
 # ---------------------------------------------------------------------------
 
-_SYNTH_KINDS = ("complementary", "redundant", "noisy-view")
+SYNTH_KINDS = ("complementary", "redundant", "noisy-view")
 _SYNTH_STEPS = 12
 _CONTINENT_CYCLE = ("africa", "america", "asia", "europe")
 _COUNTRY_CYCLE = ("kenya", "brazil", "india", "france")
@@ -662,7 +666,7 @@ class SynthSpec:
     noise: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.kind not in _SYNTH_KINDS:
+        if self.kind not in SYNTH_KINDS:
             raise ConfigError(f"unknown synthetic kind {self.kind!r}")
         if self.samples < 8:
             raise ConfigError("synthetic dataset needs at least 8 samples")

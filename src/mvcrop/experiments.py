@@ -262,15 +262,19 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(f"unknown config key: {exc}") from None
 
-    def fingerprint(self, dataset_hash: str = "") -> str:
+    def fingerprint(self, dataset_hash: str = "", unread: tuple = ()) -> str:
         """Stable hash of the canonicalized config.
 
         Paths and the parallelism degree never change what gets computed, so
-        they are excluded; the dataset enters through its content hash.
+        they are excluded; the dataset enters through its content hash. The
+        ``unread`` fields are hashed at their defaults, so runs of a protocol
+        that ignores them share one fingerprint.
         """
         payload = self.to_dict()
         for key in ("dataset", "output_dir", "jobs"):
             payload.pop(key)
+        for key in unread:
+            payload[key] = self.__dataclass_fields__[key].default
         payload["dataset_hash"] = dataset_hash
         canonical = json.dumps(payload, sort_keys=True,
                                separators=(",", ":"))
@@ -461,12 +465,8 @@ def _build_cell_model(cell: CellSpec, config: ExperimentConfig,
 
 
 def _predict_all(model, dataset: Dataset, batch_size: int) -> np.ndarray:
-    parts = []
-    for start in range(0, len(dataset), batch_size):
-        stop = min(start + batch_size, len(dataset))
-        batch = {name: dataset.arrays[name][start:stop]
-                 for name in dataset.view_names}
-        parts.append(model.predict(batch))
+    parts = [model.predict(dataset.batch(slice(start, start + batch_size)))
+             for start in range(0, len(dataset), batch_size)]
     return np.concatenate(parts, axis=0)
 
 
@@ -819,6 +819,15 @@ def _finalize(kind: str, config: ExperimentConfig, out_dir: Path,
                       output_dir=str(out_dir))
 
 
+# Config fields that a protocol never reads.
+_UNREAD_FIELDS = {
+    "cell": ("component_encoder",),
+    "grid": ("encoder", "strategy"),
+    "search": ("encoder", "strategy", "component_encoder"),
+    "baselines": ("strategy", "component", "gamma", "component_encoder"),
+}
+
+
 def _run_protocol(kind: str, phases, dataset,
                   config: ExperimentConfig) -> RunOutcome:
     """Run a protocol: an ordered tuple of phases.
@@ -840,7 +849,8 @@ def _run_protocol(kind: str, phases, dataset,
             f"{dataset.task!r}")
     _check_group_fields(dataset.metadata, config.group_by)
     out_dir = Path(config.output_dir)
-    fingerprint = config.fingerprint(dataset_fingerprint(dataset))
+    fingerprint = config.fingerprint(dataset_fingerprint(dataset),
+                                     _UNREAD_FIELDS[kind])
     split = stratified_split(dataset, config.test_fraction, config.seed_base)
 
     cells, rows, timings, predictions, trainings = [], [], [], {}, 0

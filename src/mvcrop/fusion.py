@@ -480,6 +480,8 @@ def build_model(views: list[ViewSchema], strategy: str, config: EncoderConfig,
                 component: str | None = None, gamma: float = 0.3) -> MVLModel:
     """Assemble a strategy model, optionally with one attached component."""
     merge = resolve_merge(strategy, component, merge)
+    if gamma < 0:
+        raise ConfigError(f"auxiliary loss weight must be >= 0, got {gamma}")
     if not views:
         raise ConfigError("need at least one view")
     names = [v.name for v in views]

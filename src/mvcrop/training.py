@@ -16,7 +16,7 @@ from .data import Dataset
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fusion import EnsembleModel, multi_loss
 from .rngutil import member_seed, named_stream
-from .tensor import Parameter, Tape, Tensor, backward, weighted_nll
+from .tensor import _NLL_FLOOR, Parameter, Tape, Tensor, backward, weighted_nll
 
 __all__ = [
     "Adam",
@@ -31,8 +31,6 @@ __all__ = [
     "validation_split",
     "weighted_cross_entropy",
 ]
-
-_LOG_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +232,6 @@ class TrainResult:
     seed: int
 
 
-def _snapshot(model):
-    params = {name: p.data.copy() for name, p in model.named_parameters().items()}
-    buffers = {name: b.copy() for name, b in model.named_buffers().items()}
-    return params, buffers
-
-
-def _restore(model, state) -> None:
-    params, buffers = state
-    for name, param in model.named_parameters().items():
-        param.tensor.data = params[name].copy()
-    if buffers:
-        model.load_buffers(buffers)
-
-
 def _dataset_loss(model, dataset: Dataset, weights, batch_size: int) -> float:
     """Exact mean weighted negative log-likelihood over ``dataset`` (inference mode)."""
     model.set_mode("infer")
@@ -256,10 +240,9 @@ def _dataset_loss(model, dataset: Dataset, weights, batch_size: int) -> float:
     total = 0.0
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
-        batch = {name: dataset.arrays[name][idx] for name in dataset.view_names}
-        probs = model.forward(batch).probabilities.data
+        probs = model.forward(dataset.batch(idx)).probabilities.data
         y = dataset.labels[idx]
-        picked = np.maximum(probs[np.arange(idx.size), y], _LOG_FLOOR)
+        picked = np.maximum(probs[np.arange(idx.size), y], _NLL_FLOOR)
         total += float(np.sum(w[y] * -np.log(picked)))
     return total / n
 
@@ -271,8 +254,8 @@ def train(model, dataset: Dataset, config: TrainConfig) -> TrainResult:
     dropped), forward, class-weighted cross-entropy (plus the per-view
     multi-loss term when the model carries a positive ``multiloss_gamma``),
     backward, Adam. Validation loss is measured at every epoch end; training
-    stops after ``patience`` epochs without improvement and the
-    best-validation parameters (and normalization buffers) are restored.
+    stops by ``early_stop_schedule`` and the best-validation parameters (and
+    normalization buffers) are restored.
     """
     started = time.perf_counter()
     if np.unique(dataset.labels).size < 2:
@@ -293,17 +276,11 @@ def train(model, dataset: Dataset, config: TrainConfig) -> TrainResult:
     gamma = float(getattr(model, "multiloss_gamma", 0.0))
 
     n_train = len(train_part)
-    labels = train_part.labels
-    arrays = train_part.arrays
-    names = train_part.view_names
 
     train_losses: list[float] = []
     val_losses: list[float] = []
-    best_val = np.inf
     best_epoch = 0
-    best_state = _snapshot(model)
-    bad = 0
-    stopped_early = False
+    best_state = _copy_state(model)
 
     for epoch in range(1, config.max_epochs + 1):
         model.set_mode("train")
@@ -316,10 +293,9 @@ def train(model, dataset: Dataset, config: TrainConfig) -> TrainResult:
                 if n_train == 1:
                     raise ConfigError("training split too small to batch")
                 continue  # drop the trailing singleton batch
-            batch = {name: arrays[name][chunk] for name in names}
-            y = labels[chunk]
+            y = train_part.labels[chunk]
             with Tape() as tape:
-                outputs = model.forward(batch, rng)
+                outputs = model.forward(train_part.batch(chunk), rng)
                 loss = weighted_cross_entropy(outputs.probabilities, y, weights)
                 if gamma > 0:
                     view_probs = outputs.view_probabilities
@@ -339,27 +315,21 @@ def train(model, dataset: Dataset, config: TrainConfig) -> TrainResult:
             seen += chunk.size
         train_losses.append(running / seen)
 
-        val_loss = _dataset_loss(model, val_part, weights, config.batch_size)
-        val_losses.append(val_loss)
-        if val_loss < best_val - config.min_delta:
-            best_val = val_loss
-            best_epoch = epoch
-            best_state = _snapshot(model)
-            bad = 0
-        else:
-            bad += 1
-            if bad >= config.patience:
-                stopped_early = True
-                break
+        val_losses.append(_dataset_loss(model, val_part, weights, config.batch_size))
+        _, best_epoch = early_stop_schedule(val_losses, config.patience, config.min_delta)
+        if best_epoch == epoch:
+            best_state = _copy_state(model)
+        elif epoch - best_epoch >= config.patience:
+            break
 
-    _restore(model, best_state)
+    _load_state(model, best_state)
     model.set_mode("infer")
     return TrainResult(
         train_loss=tuple(train_losses),
         val_loss=tuple(val_losses),
         best_epoch=best_epoch,
         epochs_run=len(val_losses),
-        stopped_early=stopped_early,
+        stopped_early=len(val_losses) - best_epoch >= config.patience,
         wall_clock=time.perf_counter() - started,
         seed=config.seed,
     )
@@ -402,6 +372,19 @@ def _state(model) -> dict:
     return state
 
 
+def _copy_state(model) -> dict:
+    return {key: arr.copy() for key, arr in _state(model).items()}
+
+
+def _load_state(model, state: dict) -> None:
+    """Point the parameters at ``state``'s arrays and copy its buffers in."""
+    for name, p in model.named_parameters().items():
+        p.tensor.data = state[("param", name)]
+    buffers = {name: arr for (kind, name), arr in state.items() if kind == "buffer"}
+    if buffers:
+        model.load_buffers(buffers)
+
+
 def save_checkpoint(model, path, extra: dict | None = None) -> None:
     """Serialize parameters and buffers: header, JSON manifest, f64 blocks."""
     state = _state(model)
@@ -431,11 +414,5 @@ def load_checkpoint(model, path) -> dict:
         shape = tuple(entry["shape"])
         table.append(((entry["kind"], entry["name"]), "<f8", shape, offset))
         offset += math.prod(shape) * 8
-    loaded = container.blocks(payload, table)
-
-    for name, p in model.named_parameters().items():
-        p.tensor.data = loaded[("param", name)]
-    buffer_values = {name: arr for (kind, name), arr in loaded.items() if kind == "buffer"}
-    if buffer_values:
-        model.load_buffers(buffer_values)
+    _load_state(model, container.blocks(payload, table))
     return manifest["extra"]

@@ -177,6 +177,15 @@ class TestDataset:
         assert list(sub.metadata["country"]) == ["brazil", "brazil", "france"]
         assert sub.schemas == ds.schemas
 
+    @pytest.mark.parametrize("index", [slice(1, 4), np.array([5, 1, 3])],
+                             ids=["slice", "array"])
+    def test_batch_indexes_every_view(self, index):
+        ds = tiny_dataset()
+        batch = ds.batch(index)
+        assert list(batch) == list(ds.view_names)
+        for name, arr in batch.items():
+            assert np.array_equal(arr, ds.arrays[name][index])
+
     def test_subset_out_of_range(self):
         with pytest.raises(ConfigError):
             tiny_dataset().subset([0, 6])

@@ -357,6 +357,23 @@ class TestFingerprint:
             SynthSpec(kind="complementary", samples=48, noise=0.1), seed=6)
         assert dataset_fingerprint(tiny_dataset) != dataset_fingerprint(other)
 
+    @pytest.mark.parametrize("run,runner,unread", [
+        ("cell_run", run_cell, {"component_encoder": "LTAE"}),
+        ("grid_run", run_grid, {"encoder": "LSTM", "strategy": "Input"}),
+        ("search_run", run_search, {"encoder": "TAE", "strategy": "Hybrid",
+                                    "component_encoder": "LTAE"}),
+        ("baseline_run", single_view_baselines,
+         {"strategy": "Decision", "component": "gfusion", "gamma": 0.5,
+          "component_encoder": "LTAE"}),
+    ], ids=["cell", "grid", "search", "baselines"])
+    def test_unread_fields_keep_records(self, request, tiny_dataset, tmp_path,
+                                        run, runner, unread):
+        _, out, config = request.getfixturevalue(run)
+        runner(tiny_dataset, dataclasses.replace(
+            config, output_dir=str(tmp_path), **unread))
+        assert ((tmp_path / "records.csv").read_bytes()
+                == (out / "records.csv").read_bytes())
+
 
 # ---------------------------------------------------------------------------
 # selection rules (pure, no training)

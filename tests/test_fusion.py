@@ -488,6 +488,11 @@ class TestComponentLegality:
         with pytest.raises(ConfigError):
             build_model([RADAR, WEATHER], "Stacking", cfg("GRU"), classes=2)
 
+    def test_negative_gamma_rejected(self):
+        with pytest.raises(ConfigError):
+            build_model([RADAR, WEATHER], "Feature", cfg("GRU"), classes=2,
+                        component="multiloss", gamma=-0.1)
+
 
 class TestParameterFormulas:
     def test_formula_values(self):

@@ -1,0 +1,78 @@
+"""Guard for the benchmark's span tracer: ``perfbench/tracing.py`` wraps
+entry points of the package by name, so a refactor that renames or bypasses
+one of them must fail here rather than only in a traced benchmark pass."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+from mvcrop.data import SynthSpec, stratified_split, synth_generate
+from mvcrop.training import validation_split
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TINY_OPTIONS = {"hidden": 8, "layers": 1, "embedding_dim": 8, "dense": 16,
+                "dropout": 0.0}
+BATCH, EPOCHS, VALIDATION, TEST, SEED = 16, 2, 0.25, 0.3, 3
+
+CHILD = textwrap.dedent("""
+    import json, sys
+    sys.path.insert(0, sys.argv[1])
+    import tracing
+    from mvcrop.data import SynthSpec, synth_generate
+    from mvcrop.experiments import ExperimentConfig, run_cell
+    from mvcrop.training import TrainConfig
+
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    batch, epochs, validation, test, seed = json.loads(sys.argv[3])
+    run_cell(synth_generate(SynthSpec("complementary", samples=48), seed=5),
+             ExperimentConfig(
+                 encoder="GRU", strategy="Feature", repetitions=1,
+                 seed_base=seed, test_fraction=test,
+                 encoder_options=json.loads(sys.argv[4]),
+                 train=TrainConfig(batch_size=batch, max_epochs=epochs,
+                                   patience=epochs,
+                                   validation_fraction=validation),
+                 output_dir=sys.argv[2]))
+    names = [span.name for span in tracer.spans]
+    print(json.dumps({
+        "counts": {name: names.count(name) for name in set(names)},
+        "epochs": [span.attrs["epochs"] for span in tracer.spans
+                   if span.name == "training.train"],
+        "summary_steps": tracing.summarize(tracer, 0)["training.steps"],
+    }))
+""")
+
+
+def test_tracer_counts_every_training_step(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "perfbench"),
+         str(tmp_path / "run"), json.dumps([BATCH, EPOCHS, VALIDATION, TEST,
+                                            SEED]),
+         json.dumps(TINY_OPTIONS)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(done.stdout.splitlines()[-1])
+
+    # patience == max_epochs, so the single fit runs every epoch
+    dataset = synth_generate(SynthSpec("complementary", samples=48), seed=5)
+    train_part, _ = stratified_split(dataset, TEST, SEED)
+    fit = len(validation_split(train_part, VALIDATION, 0)[0])
+    batches = fit // BATCH + (1 if fit % BATCH >= 2 else 0)
+    steps = EPOCHS * batches
+
+    counts = traced["counts"]
+    assert traced["epochs"] == [EPOCHS]
+    assert counts["training.adam_step"] == steps
+    assert counts["tensor.backward"] == steps
+    assert traced["summary_steps"] == steps
+    assert counts["fusion.predict"] >= 1
+    assert counts["metrics.evaluate"] >= 1
+    assert counts["training.checkpoint_save"] == 1

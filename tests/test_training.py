@@ -62,9 +62,7 @@ def gru_config(**kw):
 
 
 def batch_of(dataset, indices=None):
-    if indices is None:
-        indices = np.arange(len(dataset))
-    return {name: dataset.arrays[name][indices] for name in dataset.view_names}
+    return dataset.batch(np.arange(len(dataset)) if indices is None else indices)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +440,16 @@ class TestTrain:
         assert result.stopped_early
         assert result.epochs_run < 60
         assert result.epochs_run == len(result.val_loss)
+
+    def test_stopping_follows_early_stop_schedule(self):
+        ds = synth_generate(SynthSpec("complementary", samples=240), seed=0)
+        model = feature_model(ds, seed=0, encoder=gru_config(hidden=8, embedding_dim=8))
+        cfg = fast_config(max_epochs=30, patience=3, learning_rate=5e-2, seed=0)
+        result = train(model, ds, cfg)
+        assert result.stopped_early
+        assert result.epochs_run == 9
+        assert (result.epochs_run, result.best_epoch) == early_stop_schedule(
+            result.val_loss, cfg.patience, cfg.min_delta)
 
     def test_separable_two_view_reaches_95_percent(self):
         ds = synth_generate(SynthSpec("redundant", samples=240, noise=0.1), seed=6)
