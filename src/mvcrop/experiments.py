@@ -819,7 +819,8 @@ def _finalize(kind: str, config: ExperimentConfig, out_dir: Path,
                       output_dir=str(out_dir))
 
 
-# Config fields that a protocol never reads.
+# Config fields that a protocol never reads. A cell run also leaves
+# ``gamma`` unread unless its component is ``multiloss``.
 _UNREAD_FIELDS = {
     "cell": ("component_encoder",),
     "grid": ("encoder", "strategy"),
@@ -849,8 +850,10 @@ def _run_protocol(kind: str, phases, dataset,
             f"{dataset.task!r}")
     _check_group_fields(dataset.metadata, config.group_by)
     out_dir = Path(config.output_dir)
-    fingerprint = config.fingerprint(dataset_fingerprint(dataset),
-                                     _UNREAD_FIELDS[kind])
+    unread = _UNREAD_FIELDS[kind]
+    if kind == "cell" and config.component != "multiloss":
+        unread += ("gamma",)
+    fingerprint = config.fingerprint(dataset_fingerprint(dataset), unread)
     split = stratified_split(dataset, config.test_fraction, config.seed_base)
 
     cells, rows, timings, predictions, trainings = [], [], [], {}, 0

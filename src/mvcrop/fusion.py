@@ -260,7 +260,11 @@ class MVLModel(Module):
         raise NotImplementedError
 
     def predict(self, batch: dict) -> np.ndarray:
-        self.set_mode("infer")
+        """Probabilities in infer mode. ``set_mode`` sets every module, so
+        the root's mode stands for the tree's and a model already in infer
+        mode is not walked again."""
+        if self.mode != "infer":
+            self.set_mode("infer")
         return self.forward(batch).probabilities.data.copy()
 
     def __call__(self, batch: dict, rng=None) -> FusionOutputs:

@@ -4,9 +4,11 @@ Execution is eager. While a ``Tape`` is active, every differentiable operation
 appends one record (inputs, output, backward rule); because records are
 appended in execution order they are already topologically sorted, so
 ``backward`` performs a single reverse sweep and accumulates gradients
-additively into shared inputs. With no active tape the same operations run as
-plain numpy math, which is how inference mode works: an untaped op builds no
-backward rule and no record, only the output tensor.
+additively into shared inputs. A tape is swept once: the sweep drops each
+non-leaf gradient as soon as its record has consumed it and empties the tape
+when it ends, so only leaf gradients outlive it. With no active tape the
+same operations run as plain numpy math, which is how inference mode works:
+an untaped op builds no backward rule and no record, only the output tensor.
 """
 from __future__ import annotations
 
@@ -879,28 +881,41 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, mode: str) 
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Reverse sweep over the tape, accumulating into ``.grad`` slots."""
+    """Reverse sweep over the tape, accumulating into ``.grad`` slots.
+
+    A tape is swept once. Every consumer of a record's output comes later
+    on the tape, so once the record's rule has run its output gradient is
+    complete and is dropped (``.grad = None``); leaves keep theirs. When
+    the sweep ends the tape is emptied, which releases each record's saved
+    arrays.
+    """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
-        return
-    loss.grad = np.ones_like(loss.data)
-    for rec in reversed(tape.records):
-        out = rec.output
-        if type(out) is tuple:
-            g = tuple(o.grad for o in out)
-            if all(gi is None for gi in g):
-                continue
-        else:
-            g = out.grad
-            if g is None:
-                continue
-        grads = rec.backward(g)
-        for t, gi in zip(rec.inputs, grads):
-            if gi is None or not t.requires_grad:
-                continue
-            gi = np.asarray(gi, dtype=np.float64).reshape(t.shape)
-            t.grad = gi if t.grad is None else t.grad + gi
+    try:
+        if not loss.requires_grad:
+            return
+        loss.grad = np.ones_like(loss.data)
+        for rec in reversed(tape.records):
+            out = rec.output
+            if type(out) is tuple:
+                g = tuple(o.grad for o in out)
+                if all(gi is None for gi in g):
+                    continue
+                for o in out:
+                    o.grad = None
+            else:
+                g = out.grad
+                if g is None:
+                    continue
+                out.grad = None
+            grads = rec.backward(g)
+            for t, gi in zip(rec.inputs, grads):
+                if gi is None or not t.requires_grad:
+                    continue
+                gi = np.asarray(gi, dtype=np.float64).reshape(t.shape)
+                t.grad = gi if t.grad is None else t.grad + gi
+    finally:
+        tape.records.clear()
 
 
 @dataclass

@@ -30,6 +30,7 @@ from mvcrop.experiments import (
     CellSpec,
     ExperimentConfig,
     RunOutcome,
+    _predict_all,
     best_cell_label,
     best_encoder,
     dataset_fingerprint,
@@ -45,6 +46,7 @@ from mvcrop.experiments import (
     write_records_csv,
 )
 from mvcrop.fusion import STRATEGIES, build_model, resolve_merge
+from mvcrop.layers import Module
 from mvcrop.rngutil import rep_seed
 from mvcrop.training import TrainConfig, train
 
@@ -358,7 +360,7 @@ class TestFingerprint:
         assert dataset_fingerprint(tiny_dataset) != dataset_fingerprint(other)
 
     @pytest.mark.parametrize("run,runner,unread", [
-        ("cell_run", run_cell, {"component_encoder": "LTAE"}),
+        ("cell_run", run_cell, {"component_encoder": "LTAE", "gamma": 0.5}),
         ("grid_run", run_grid, {"encoder": "LSTM", "strategy": "Input"}),
         ("search_run", run_search, {"encoder": "TAE", "strategy": "Hybrid",
                                     "component_encoder": "LTAE"}),
@@ -373,6 +375,15 @@ class TestFingerprint:
             config, output_dir=str(tmp_path), **unread))
         assert ((tmp_path / "records.csv").read_bytes()
                 == (out / "records.csv").read_bytes())
+
+    def test_multiloss_cell_hashes_gamma(self, tiny_dataset, tmp_path):
+        prints = []
+        for gamma in (0.3, 0.5):
+            out = tmp_path / str(gamma)
+            outcome = run_cell(tiny_dataset, tiny_config(
+                out, component="multiloss", gamma=gamma))
+            prints.append(outcome.records[0]["fingerprint"])
+        assert prints[0] != prints[1]
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +542,47 @@ class TestRecordsCsv:
 # ---------------------------------------------------------------------------
 # single-cell runs
 # ---------------------------------------------------------------------------
+
+
+class TestPredictAll:
+    """``_predict_all`` scores a dataset batch by batch with ``predict``."""
+
+    @staticmethod
+    def _model(dataset):
+        options = dict(TINY_OPTIONS, dropout=0.5)  # train mode would differ
+        model = build_model(dataset.schemas, "Feature",
+                            EncoderConfig("GRU", **options), dataset.classes)
+        model.initialize(1)
+        return model
+
+    @staticmethod
+    def _per_batch_infer(model, dataset, batch_size):
+        """The reference: switch to infer mode before every batch."""
+        parts = []
+        for start in range(0, len(dataset), batch_size):
+            model.set_mode("infer")
+            parts.append(model.forward(dataset.batch(
+                slice(start, start + batch_size))).probabilities.data)
+        return np.concatenate(parts, axis=0)
+
+    def test_infer_mode_model_is_not_walked(self, tiny_dataset, monkeypatch):
+        model = self._model(tiny_dataset)
+        want = self._per_batch_infer(model, tiny_dataset, 10)
+        walked = []
+        walk = Module._walk
+        monkeypatch.setattr(Module, "_walk", lambda self, prefix="": (
+            walked.append(self), walk(self, prefix))[1])
+        got = _predict_all(model, tiny_dataset, 10)
+        assert walked == []
+        assert got.tobytes() == want.tobytes()
+
+    def test_train_mode_model_is_switched_to_infer(self, tiny_dataset):
+        model = self._model(tiny_dataset)
+        want = self._per_batch_infer(model, tiny_dataset, 10)
+        model.set_mode("train")
+        got = _predict_all(model, tiny_dataset, 10)
+        assert {m.mode for m in model.modules()} == {"infer"}
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")

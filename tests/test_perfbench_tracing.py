@@ -9,6 +9,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from mvcrop.data import SynthSpec, stratified_split, synth_generate
 from mvcrop.training import validation_split
 
@@ -43,7 +45,9 @@ CHILD = textwrap.dedent("""
         "counts": {name: names.count(name) for name in set(names)},
         "epochs": [span.attrs["epochs"] for span in tracer.spans
                    if span.name == "training.train"],
-        "summary_steps": tracing.summarize(tracer, 0)["training.steps"],
+        "records": [span.attrs["records"] for span in tracer.spans
+                    if span.name == "tensor.backward"],
+        "summary": tracing.summarize(tracer, 0),
     }))
 """)
 
@@ -72,7 +76,14 @@ def test_tracer_counts_every_training_step(tmp_path):
     assert traced["epochs"] == [EPOCHS]
     assert counts["training.adam_step"] == steps
     assert counts["tensor.backward"] == steps
-    assert traced["summary_steps"] == steps
+    assert traced["summary"]["training.steps"] == steps
+    # the tracer reads the tape's length before the sweep empties it: every
+    # step of this fixed-shape model tapes the same positive record count
+    records = traced["records"]
+    assert len(records) == steps and records[0] > 0
+    assert set(records) == {records[0]}
+    assert traced["summary"]["tensor.tape_records_per_step"] == pytest.approx(
+        records[0])
     assert counts["fusion.predict"] >= 1
     assert counts["metrics.evaluate"] >= 1
     assert counts["training.checkpoint_save"] == 1

@@ -1,11 +1,16 @@
-"""Tensor-core oracles: frozen op values, tape semantics, gradient checks."""
+"""Tensor-core oracles: frozen op values, tape semantics, gradient checks,
+and what the backward sweep releases."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvcrop import tensor as T
+from mvcrop.encoders import EncoderConfig, build_encoder
 from mvcrop.errors import ConfigError, NumericError, ShapeError
+from mvcrop.fusion import build_model, multi_loss
+from mvcrop.training import weighted_cross_entropy
+from mvcrop.views import canonical_schema
 
 
 @pytest.fixture
@@ -600,3 +605,158 @@ class TestAttentionPool:
         for args in bad:
             with pytest.raises(ShapeError):
                 T.attention_pool(*args)
+
+
+def _keeping_backward(loss, tape):
+    """A sweep that releases nothing: it keeps every intermediate gradient
+    and every record. The reference for ``backward``'s leaf gradients."""
+    loss.grad = np.ones_like(loss.data)
+    for rec in reversed(tape.records):
+        out = rec.output
+        if type(out) is tuple:
+            g = tuple(o.grad for o in out)
+            if all(gi is None for gi in g):
+                continue
+        else:
+            g = out.grad
+            if g is None:
+                continue
+        for t, gi in zip(rec.inputs, rec.backward(g)):
+            if gi is None or not t.requires_grad:
+                continue
+            gi = np.asarray(gi, dtype=np.float64).reshape(t.shape)
+            t.grad = gi if t.grad is None else t.grad + gi
+
+
+def _outputs(tape):
+    """Every tensor that a record of ``tape`` produced."""
+    return [o for rec in tape.records
+            for o in (rec.output if type(rec.output) is tuple else (rec.output,))]
+
+
+def _assert_bit_identical(got, want):
+    assert got is not None and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBackwardReleases:
+    """``backward`` drops each consumed non-leaf gradient during the sweep
+    and empties the tape when it ends; leaf gradients keep their bits."""
+
+    def _sweep(self, sweep):
+        """A graph with a shared intermediate and a tuple-output op (LSTM)
+        whose outputs both reach the loss. Returns the leaves' gradients,
+        the intermediates and the tape after ``sweep``."""
+        case = _recurrent_case(np.random.default_rng(4), gates=4)
+        leaves = {k: T.Tensor(case[k], requires_grad=True) for k in _WEIGHTS}
+        with T.Tape() as tape:
+            hs, c = T.lstm_sequence(*(leaves[k] for k in _WEIGHTS))
+            shared = T.tanh(hs)
+            loss = T.add(T.reduce_sum(T.mul(shared, shared)),
+                         T.reduce_sum(T.mul(c, T.Tensor(case["w_c"]))))
+        intermediates = _outputs(tape)
+        sweep(loss, tape)
+        return [leaves[k].grad for k in _WEIGHTS], intermediates, tape
+
+    def test_tape_is_empty_after_backward(self):
+        _, _, tape = self._sweep(T.backward)
+        assert tape.records == []
+
+    def test_intermediate_gradients_are_dropped_leaf_gradients_kept(self):
+        got, intermediates, _ = self._sweep(T.backward)
+        want, kept, _ = self._sweep(_keeping_backward)
+        assert len(intermediates) == 8  # 7 records, the LSTM one with two outputs
+        assert all(t.grad is None for t in intermediates)
+        assert all(t.grad is not None for t in kept)  # the reference keeps them
+        for g, w in zip(got, want):
+            _assert_bit_identical(g, w)
+
+    def test_tape_is_emptied_when_the_loss_is_untracked(self):
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        with T.Tape() as tape:
+            T.mul(x, 2.0)
+            loss = T.reduce_sum(T.Tensor(np.ones(3)))
+        assert len(tape.records) == 1
+        T.backward(loss, tape)
+        assert tape.records == [] and x.grad is None
+
+    def test_tape_is_emptied_when_a_rule_raises(self):
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.reduce_sum(T.mul(x, 2.0))
+
+        def fails(g):
+            raise NumericError("rule failed")
+
+        tape.records[0].backward = fails
+        with pytest.raises(NumericError):
+            T.backward(loss, tape)
+        assert tape.records == []
+
+
+_TINY_WIDTHS = dict(hidden=6, layers=2, embedding_dim=8, dense=12, heads=2,
+                    key_dim=4, attn_width=8, kernel=3, dropout=0.2)
+
+
+def _taped_step(module, loss_of, sweep):
+    """One training step of ``module`` under ``sweep``: a seeded forward in
+    train mode and the backward sweep. Returns every parameter gradient and
+    the step's intermediate tensors."""
+    module.set_mode("train")
+    params = module.named_parameters()
+    for p in params.values():
+        p.tensor.grad = None
+    with T.Tape() as tape:
+        loss = loss_of(module, np.random.default_rng(11))
+    intermediates = _outputs(tape)
+    sweep(loss, tape)
+    return {name: p.tensor.grad for name, p in params.items()}, intermediates
+
+
+def _assert_step_matches_keeping_sweep(module, loss_of):
+    want, _ = _taped_step(module, loss_of, _keeping_backward)
+    got, intermediates = _taped_step(module, loss_of, T.backward)
+    assert intermediates and all(t.grad is None for t in intermediates)
+    assert got.keys() == want.keys()
+    for name in want:
+        _assert_bit_identical(got[name], want[name])
+
+
+@pytest.mark.parametrize("arch", ["GRU", "LSTM", "TempCNN", "TAE", "LTAE"])
+def test_encoder_step_gradients_match_keeping_sweep(arch):
+    schema = canonical_schema("optical")
+    encoder = build_encoder(schema, EncoderConfig(architecture=arch, **_TINY_WIDTHS))
+    encoder.initialize(2)
+    data = np.random.default_rng(3)
+    x = data.standard_normal((5,) + schema.shape)
+    encoder.set_mode("infer")
+    weights = T.Tensor(data.standard_normal((5, encoder(x).shape[1])))
+
+    def loss_of(module, rng):
+        return T.reduce_sum(T.mul(module(x, rng), weights))
+
+    _assert_step_matches_keeping_sweep(encoder, loss_of)
+
+
+@pytest.mark.parametrize("strategy, component", [
+    ("Hybrid", "gfusion"), ("Feature", "multiloss")])
+def test_model_step_gradients_match_keeping_sweep(strategy, component):
+    views = [canonical_schema(n) for n in ("optical", "radar", "topography")]
+    model = build_model(views, strategy, EncoderConfig("GRU", **_TINY_WIDTHS),
+                        classes=3, component=component)
+    model.initialize(2)
+    data = np.random.default_rng(3)
+    batch = {v.name: data.standard_normal((6,) + v.shape) for v in views}
+    labels = np.array([0, 1, 2, 0, 1, 2])
+    class_weights = np.array([0.5, 1.0, 2.0])
+
+    def loss_of(module, rng):
+        outputs = module(batch, rng)
+        loss = weighted_cross_entropy(outputs.probabilities, labels, class_weights)
+        if module.multiloss_gamma > 0:
+            loss = multi_loss(loss, [
+                weighted_cross_entropy(p, labels, class_weights)
+                for p in outputs.view_probabilities.values()], module.multiloss_gamma)
+        return loss
+
+    _assert_step_matches_keeping_sweep(model, loss_of)
