@@ -16,6 +16,7 @@ holds ``manifest``, ``records.csv``, ``checkpoints/`` and ``reports/``.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -760,12 +761,37 @@ class RunOutcome:
     output_dir: str
 
 
+def _blas_threads() -> int | str:
+    """Thread count of the OpenBLAS that numpy loaded, read through its
+    ``*openblas_get_num_threads*`` entry point; the process's memory map
+    names the loaded library. ``"unknown"`` for a BLAS that cannot be
+    queried, or where there is no ``/proc/self/maps``."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return "unknown"
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            query = getattr(lib, name, None)
+            if query is not None:
+                query.argtypes, query.restype = [], ctypes.c_int
+                return int(query())
+    return "unknown"
+
+
 def _numeric_environment() -> dict:
     """What the numbers of a run depend on besides config and data: the
-    numpy and BLAS builds and the CPU count."""
+    numpy and BLAS builds, the BLAS thread count and the CPU count."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": blas.get("name"),
-            "blas_version": blas.get("version"), "cpu_count": os.cpu_count()}
+            "blas_version": blas.get("version"), "blas_threads": _blas_threads(),
+            "cpu_count": os.cpu_count()}
 
 
 def _write_manifest(out_dir: Path, kind: str, config: ExperimentConfig,

@@ -328,6 +328,8 @@ def _recurrent_operands(x, w_in, w_hid, b_in, b_hid, state, gates: int):
     if x.data.ndim != 3:
         raise ShapeError(f"recurrent input must be [B, T, D], got {x.data.shape}")
     batch, steps, width = x.data.shape
+    if steps < 1:
+        raise ShapeError(f"recurrent input needs at least one time step, got {x.data.shape}")
     hidden = w_hid.data.shape[0] if w_hid.data.ndim == 2 else -1
     fused = gates * hidden
     if (w_in.data.shape != (width, fused) or w_hid.data.shape != (hidden, fused)
@@ -343,11 +345,14 @@ def _recurrent_operands(x, w_in, w_hid, b_in, b_hid, state, gates: int):
 
 
 def _input_projection(x: Array, w_in: Array, b_in: Array) -> tuple[Array, Array]:
-    """Time-major copy ``[T, B, D]`` of ``x`` and every step's input-side
+    """Time-major ``[T, B, D]`` form of ``x`` and every step's input-side
     pre-activation ``x_t @ w_in + b_in``, ``[T, B, G]``, so the time loop
-    reads contiguous blocks. One batched matmul makes each step's product
-    the same BLAS call as ``x_t @ w_in`` alone (a single ``[T*B, D]`` GEMM
-    is not at B=1, where that call is a GEMV); the bias is added in place."""
+    reads contiguous blocks. The output of a recurrent op is already a
+    transposed view of its time-major state buffer, so for a stacked layer
+    ``xs`` is that buffer itself, not a copy. One batched matmul makes each
+    step's product the same BLAS call as ``x_t @ w_in`` alone (a single
+    ``[T*B, D]`` GEMM is not at B=1, where that call is a GEMV); the bias is
+    added in place."""
     xs = np.ascontiguousarray(x.transpose(1, 0, 2))
     gi = xs @ w_in
     gi += b_in
@@ -366,6 +371,11 @@ def gru_sequence(x, w_in, w_hid, b_in, b_hid, h0=None) -> Tensor:
     through time by hand, accumulating weight gradients from the last step
     to the first. Each gate is evaluated only on its own block, and a step
     saves only the arrays that ``backward`` reads. ``h0`` defaults to zeros.
+
+    The states live in one time-major buffer ``[T+1, B, H]`` (row 0 the
+    initial state), written in place step by step; the output is its
+    transposed view ``[B, T, H]``, and ``backward`` reads each previous state
+    from the same buffer, so every state is held once.
     """
     inputs, (h0,), (batch, steps, hidden) = _recurrent_operands(
         x, w_in, w_hid, b_in, b_hid, (h0,), gates=3)
@@ -376,10 +386,11 @@ def gru_sequence(x, w_in, w_hid, b_in, b_hid, h0=None) -> Tensor:
     two = 2 * hidden
     xs, gi = _input_projection(x.data, w_in.data, b_in.data)
     wh, bh = w_hid.data, b_hid.data
-    h = np.zeros((batch, hidden)) if h0 is None else h0.data
-    hs = np.empty((batch, steps, hidden))
+    hst = np.empty((steps + 1, batch, hidden))
+    hst[0] = 0.0 if h0 is None else h0.data
     saved = []
     for t in range(steps):
+        h = hst[t]
         gh = h.dot(wh)
         gh += bh
         zr = _sigmoid(gi[t, :, :two] + gh[:, :two])
@@ -387,10 +398,9 @@ def gru_sequence(x, w_in, w_hid, b_in, b_hid, h0=None) -> Tensor:
         gh_n = gh[:, two:]
         n = np.tanh(gi[t, :, two:] + zr[:, hidden:] * gh_n)
         if taping:
-            saved.append((h, zr, n, gh_n.copy()))
-        h = (1.0 - z) * n + z * h
-        hs[:, t] = h
-    out = _make(hs)
+            saved.append((zr, n, gh_n.copy()))
+        np.add((1.0 - z) * n, z * h, out=hst[t + 1])
+    out = _make(hst[1:].transpose(1, 0, 2))
     if not taping:
         return out
 
@@ -402,7 +412,8 @@ def gru_sequence(x, w_in, w_hid, b_in, b_hid, h0=None) -> Tensor:
         dw_in = dw_hid = db_in = db_hid = None
         via_z = via_w = None  # gradient reaching h_{t-1} through z*h and h@w_hid
         for t in range(steps - 1, -1, -1):
-            h_prev, zr, n, gh_n = saved[t]
+            zr, n, gh_n = saved[t]
+            h_prev = hst[t]
             z, r = zr[:, :hidden], zr[:, hidden:]
             dh = g[:, t]
             if via_z is not None:
@@ -438,8 +449,12 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid, h0=None, c0=None) -> tuple[Tensor
     ``c = f * c + i * g`` and ``h = o * tanh(c)``. Returns the hidden states
     ``[B, T, H]`` and the final cell state ``[B, H]``. As in
     ``gru_sequence``, the input projection is one batched matmul, each gate is
-    evaluated only on its own blocks and ``backward`` is hand-written
-    backpropagation through time. ``h0``/``c0`` default to zeros.
+    evaluated only on its own blocks, the hidden states live in one
+    time-major buffer whose transposed view is the output, and ``backward``
+    is hand-written backpropagation through time. A step keeps its cell
+    state ``c_t``, which is also the next step's ``c_{t-1}``; ``backward``
+    recomputes ``tanh(c_t)`` from it instead of keeping a copy, with the same
+    bits. ``h0``/``c0`` default to zeros.
     """
     inputs, (h0, c0), (batch, steps, hidden) = _recurrent_operands(
         x, w_in, w_hid, b_in, b_hid, (h0, c0), gates=4)
@@ -449,24 +464,23 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid, h0=None, c0=None) -> tuple[Tensor
     two, three = 2 * hidden, 3 * hidden
     xs, gi = _input_projection(x.data, w_in.data, b_in.data)
     wh, bh = w_hid.data, b_hid.data
-    h = np.zeros((batch, hidden)) if h0 is None else h0.data
+    hst = np.empty((steps + 1, batch, hidden))
+    hst[0] = 0.0 if h0 is None else h0.data
     c = np.zeros((batch, hidden)) if c0 is None else c0.data
-    hs = np.empty((batch, steps, hidden))
+    cells = [c]  # c_0 ... c_T, kept while taping
     saved = []
     for t in range(steps):
-        s = h.dot(wh)
+        s = hst[t].dot(wh)
         s += bh
         np.add(gi[t], s, out=s)
         ifo = _sigmoid(np.concatenate((s[:, :two], s[:, three:]), axis=1))
         cand = np.tanh(s[:, two:three])
-        c_new = ifo[:, hidden:two] * c + ifo[:, :hidden] * cand
-        tc = np.tanh(c_new)
+        c = ifo[:, hidden:two] * c + ifo[:, :hidden] * cand
+        np.multiply(ifo[:, two:], np.tanh(c), out=hst[t + 1])
         if taping:
-            saved.append((h, c, ifo, cand, tc))
-        h = ifo[:, two:] * tc
-        c = c_new
-        hs[:, t] = h
-    out = (_make(hs), _make(c))
+            saved.append((ifo, cand))
+            cells.append(c)
+    out = (_make(hst[1:].transpose(1, 0, 2)), _make(c))
     if not taping:
         return out
 
@@ -476,7 +490,9 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid, h0=None, c0=None) -> tuple[Tensor
         dw_in = dw_hid = db = None
         via_h, via_c = None, g_c  # gradients reaching h_{t-1} and c_{t-1}
         for t in range(steps - 1, -1, -1):
-            h_prev, c_prev, ifo, cand, tc = saved[t]
+            ifo, cand = saved[t]
+            h_prev, c_prev = hst[t], cells[t]
+            tc = np.tanh(cells[t + 1])
             i, f, o = ifo[:, :hidden], ifo[:, hidden:two], ifo[:, two:]
             if g_hs is None:
                 dh = np.zeros((batch, hidden)) if via_h is None else via_h

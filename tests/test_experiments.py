@@ -6,11 +6,15 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvcrop
 from mvcrop.data import (
     Dataset,
     SynthSpec,
@@ -657,11 +661,29 @@ class TestRunCell:
     def test_manifest_records_numeric_environment(self, cell_run):
         _, out, _ = cell_run
         environment = json.loads((out / "manifest").read_text())["environment"]
-        assert sorted(environment) == ["blas", "blas_version", "cpu_count",
-                                       "numpy"]
+        assert sorted(environment) == ["blas", "blas_threads", "blas_version",
+                                       "cpu_count", "numpy"]
         assert environment["numpy"] == np.__version__
         assert environment["cpu_count"] == os.cpu_count()
         assert isinstance(environment["blas"], str)
+        threads = environment["blas_threads"]
+        assert threads == "unknown" or (isinstance(threads, int) and threads >= 1)
+
+    @pytest.mark.skipif(
+        "openblas" not in str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]),
+        reason="the BLAS thread count is read from OpenBLAS only")
+    def test_blas_threads_reads_the_loaded_library(self):
+        """A child started at one OpenBLAS thread reports 1: the count comes
+        from the library that numpy loaded, not from this host's cores."""
+        source = str(Path(mvcrop.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, (source, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-c", "from mvcrop.experiments import _numeric_environment;"
+             "print(_numeric_environment()['blas_threads'])"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "1"
 
     def test_records_csv_matches_outcome(self, cell_run):
         outcome, out, _ = cell_run

@@ -1,5 +1,7 @@
 """Tensor-core oracles: frozen op values, tape semantics, gradient checks,
 and what the backward sweep releases."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -460,7 +462,7 @@ class TestRecurrentSequences:
             res = T.grad_check(lambda t: _lstm_loss(case, T.lstm_sequence, name, t), case[name])
             assert res.ok, (name, res.max_rel_err)
 
-    @pytest.mark.parametrize("layout", ["c_order", "channel_outermost"])
+    @pytest.mark.parametrize("layout", ["c_order", "channel_outermost", "time_major"])
     @pytest.mark.parametrize("steps", [1, 12])
     @pytest.mark.parametrize("batch", [1, 57, 128])
     @pytest.mark.parametrize("fused, reference, state", [
@@ -480,6 +482,8 @@ class TestRecurrentSequences:
         case["b_in"][2 * hidden] = 800.0
         if layout == "channel_outermost":  # the strides conv kernels return
             case["x"] = case["x"].transpose(2, 0, 1).copy().transpose(1, 2, 0)
+        elif layout == "time_major":  # a stacked layer's input: a lower layer's output
+            case["x"] = case["x"].transpose(1, 0, 2).copy().transpose(1, 0, 2)
         runs = []
         with np.errstate(all="raise"):
             for op in (fused, reference):
@@ -515,6 +519,41 @@ class TestRecurrentSequences:
         with pytest.raises(ShapeError):
             T.gru_sequence(case["x"], case["w_in"], case["w_hid"], case["b_in"], case["b_hid"],
                            h0=np.zeros((1, 3)))
+        empty = case["x"][:, :0]  # no time steps: there is nothing to backpropagate
+        with pytest.raises(ShapeError):
+            T.gru_sequence(empty, case["w_in"], case["w_hid"], case["b_in"], case["b_hid"],
+                           h0=case["h0"])
+        lstm = _recurrent_case(rng, gates=4)
+        with pytest.raises(ShapeError):
+            T.lstm_sequence(empty, lstm["w_in"], lstm["w_hid"], lstm["b_in"], lstm["b_hid"])
+
+    @pytest.mark.parametrize("op, gates, arrays", [
+        # [T+1,B,H] state buffer, then z|r, n and gh_n per step
+        (T.gru_sequence, 3, lambda t: (t + 1) + 2 * t + t + t),
+        # state buffer, c_0..c_T, then i|f|o and g per step
+        (T.lstm_sequence, 4, lambda t: (t + 1) + (t + 1) + 3 * t + t),
+    ], ids=["gru", "lstm"])
+    def test_taped_layer_retains_its_closed_form(self, op, gates, arrays):
+        """A taped layer keeps each hidden state once, in its state buffer
+        (which is also its output), and recomputes what the backward pass can
+        get cheaply: the bytes it holds until the sweep are the closed form
+        in units of ``[B, H]`` float64 blocks plus the time-major input copy
+        ``[T, B, D]``, within a few kilobytes of Python objects."""
+        batch, steps, width, hidden = 57, 12, 11, 64
+        case = _recurrent_case(np.random.default_rng(5), gates=gates, batch=batch,
+                               steps=steps, width=width, hidden=hidden)
+        leaves = [T.Tensor(case[k], requires_grad=True) for k in _WEIGHTS]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with T.Tape() as tape:
+                out = op(*leaves)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape.records) == 1 and out is not None
+        bound = 8 * (arrays(steps) * batch * hidden + steps * batch * width)
+        assert retained <= bound + 32 * 1024, (retained, bound)
 
 
 def _attention_graph(query, keys, values, key_dim):
