@@ -127,8 +127,8 @@ class MLPEncoder(Encoder):
 class _RecurrentCell(Module):
     """Fused gate weights of one recurrent layer, ``GATES`` blocks wide.
 
-    ``outputs`` runs the whole sequence as one tape record; ``step`` is the
-    same op over a single time step.
+    ``outputs`` maps ``xs [B, T, D]`` to the hidden states ``[B, T, H]``
+    from a zero state, as one tape record.
     """
 
     GATES = 0
@@ -141,18 +141,6 @@ class _RecurrentCell(Module):
         self.b_hid = Parameter(np.zeros(g), init="zeros")
         self.hidden = hidden
 
-    def _weights(self) -> tuple[Tensor, ...]:
-        return (self.w_in.tensor, self.w_hid.tensor, self.b_in.tensor, self.b_hid.tensor)
-
-    def outputs(self, xs: Tensor) -> Tensor:
-        """Hidden states ``[B, T, H]`` over ``xs [B, T, D]`` from a zero state."""
-        raise NotImplementedError
-
-
-def _one_step(x_t: Tensor) -> Tensor:
-    x_t = as_tensor(x_t)
-    return reshape(x_t, (x_t.shape[0], 1, x_t.shape[1]))
-
 
 class GRUCell(_RecurrentCell):
     """GRU layer with fused gate weights, order (z, r, n).
@@ -164,15 +152,8 @@ class GRUCell(_RecurrentCell):
 
     GATES = 3
 
-    def initial_state(self, batch: int) -> Tensor:
-        return Tensor(np.zeros((batch, self.hidden)))
-
     def outputs(self, xs: Tensor) -> Tensor:
-        return gru_sequence(xs, *self._weights())
-
-    def step(self, x_t: Tensor, h: Tensor) -> Tensor:
-        hs = gru_sequence(_one_step(x_t), *self._weights(), h0=h)
-        return reshape(hs, (hs.shape[0], self.hidden))
+        return gru_sequence(xs, self.w_in, self.w_hid, self.b_in, self.b_hid)
 
 
 class LSTMCell(_RecurrentCell):
@@ -180,16 +161,8 @@ class LSTMCell(_RecurrentCell):
 
     GATES = 4
 
-    def initial_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        return Tensor(np.zeros((batch, self.hidden))), Tensor(np.zeros((batch, self.hidden)))
-
     def outputs(self, xs: Tensor) -> Tensor:
-        return lstm_sequence(xs, *self._weights())[0]
-
-    def step(self, x_t: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-        h, c = state
-        hs, c_new = lstm_sequence(_one_step(x_t), *self._weights(), h0=h, c0=c)
-        return reshape(hs, (hs.shape[0], self.hidden)), c_new
+        return lstm_sequence(xs, self.w_in, self.w_hid, self.b_in, self.b_hid)[0]
 
 
 class _RecurrentEncoder(Encoder):
@@ -334,7 +307,7 @@ class AttentionEncoder(Encoder):
         else:
             values = reshape(self.w_v(e), (batch, steps, heads, self.value_width))
         if self.learned_query:
-            q_master = reshape(self.q_master.tensor, (1, 1, heads, kd))
+            q_master = reshape(self.q_master, (1, 1, heads, kd))
             q_data = np.broadcast_to(self.q_master.data.reshape(1, heads, kd),
                                      (batch, heads, kd))
         else:

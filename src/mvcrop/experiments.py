@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .data import Dataset, load_dataset, stratified_split
 from .encoders import EncoderConfig, build_encoder
-from .errors import ConfigError
+from .errors import ConfigError, FormatError, check_structure
 from .fusion import (
     COMPONENT_STRATEGIES,
     COMPONENTS,
@@ -42,7 +42,7 @@ from .fusion import (
     resolve_merge,
 )
 from .kernels import active_backend
-from .metrics import evaluate, grouped_report
+from .metrics import evaluate, grouped_report, row_entropy
 from .rngutil import rep_seed
 from .training import (  # noqa: F401  (load_checkpoint: public re-export)
     TrainConfig,
@@ -84,8 +84,10 @@ SUMMARY_COLUMNS = (
     "prediction_entropy_mean", "prediction_entropy_std",
 )
 
-_INT_FIELDS = frozenset({"repetition", "seed", "parameters", "samples"})
-_FLOAT_FIELDS = frozenset(_METRIC_FIELDS)
+# records.csv columns that parse as numbers; an empty cell reads as None
+_NUMERIC_TYPES = {**dict.fromkeys(("repetition", "seed", "parameters",
+                                   "samples"), int),
+                  **dict.fromkeys(_METRIC_FIELDS, float)}
 
 _PREDICTION_METADATA = ("latitude", "longitude", "year", "continent",
                         "country")
@@ -224,26 +226,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown encoder option: {exc}") from None
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "task": self.task,
-            "views": list(self.views),
-            "encoder": self.encoder,
-            "strategy": self.strategy,
-            "component": self.component,
-            "merge": self.merge,
-            "gamma": self.gamma,
-            "repetitions": self.repetitions,
-            "seed_base": self.seed_base,
-            "jobs": self.jobs,
-            "test_fraction": self.test_fraction,
-            "selection_metric": self.selection_metric,
-            "component_encoder": self.component_encoder,
-            "group_by": list(self.group_by),
-            "encoder_options": dict(self.encoder_options),
-            "train": asdict(self.train),
-            "output_dir": self.output_dir,
-        }
+        """Every field, ``train`` as a nested mapping; JSON writes the
+        tuple fields as lists."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -397,20 +382,46 @@ def write_records_csv(path, rows: list) -> None:
     _write_csv(path, RECORD_COLUMNS, rows)
 
 
-def read_records_csv(path) -> list:
-    rows = []
+def _csv_table(path, required) -> tuple[list, list]:
+    """A CSV file's header and ``(line, row)`` pairs; FormatError names
+    the file and line of a missing ``required`` column or of a row whose
+    length differs from the header's."""
     with open(path, newline="") as handle:
-        for raw in csv.DictReader(handle):
-            row = {}
-            for column in RECORD_COLUMNS:
-                text = raw[column]
-                if column in _INT_FIELDS:
-                    row[column] = int(text) if text else None
-                elif column in _FLOAT_FIELDS:
-                    row[column] = float(text) if text else None
-                else:
-                    row[column] = text
-            rows.append(row)
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames or []
+        missing = [column for column in required if column not in header]
+        if missing:
+            raise FormatError(f"{path} line 1: missing column(s) {missing}")
+        table = [(reader.line_num, raw) for raw in reader]
+    for line, raw in table:
+        if None in raw or None in raw.values():  # DictReader's filler
+            raise FormatError(f"{path} line {line}: row length differs "
+                              f"from the header's {len(header)} columns")
+    return header, table
+
+
+def _parse_cell(path, line: int, column: str, convert, text):
+    try:
+        return convert(text)
+    except (TypeError, ValueError):
+        raise FormatError(
+            f"{path} line {line}: cannot parse {column} {text!r}") from None
+
+
+def read_records_csv(path) -> list:
+    """The rows of a ``records.csv``; a missing column or an unparsable
+    cell raises FormatError naming the file and line."""
+    _, table = _csv_table(path, RECORD_COLUMNS)
+    rows = []
+    for line, raw in table:
+        row = {}
+        for column in RECORD_COLUMNS:
+            text, convert = raw[column], _NUMERIC_TYPES.get(column)
+            if convert is not None:
+                text = (_parse_cell(path, line, column, convert, text)
+                        if text else None)
+            row[column] = text
+        rows.append(row)
     return rows
 
 
@@ -668,10 +679,7 @@ def _write_predictions_csv(path, labels: np.ndarray, probabilities: np.ndarray,
     formatted column by column."""
     classes = probabilities.shape[1]
     predicted = probabilities.argmax(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(probabilities > 0.0,
-                         probabilities * np.log(probabilities), 0.0)
-    entropy = -terms.sum(axis=1) / np.log(classes)
+    entropy = row_entropy(probabilities) / np.log(classes)
     meta_columns = [key for key in _PREDICTION_METADATA if key in metadata]
     header = (["index"] + meta_columns
               + ["true_label", "predicted_label", "correct",
@@ -988,19 +996,20 @@ def single_view_baselines(dataset, config: ExperimentConfig) -> RunOutcome:
 
 def _read_predictions(path) -> tuple:
     """Per-sample dump back into (labels, probabilities, metadata)."""
-    with open(path, newline="") as handle:
-        raw = list(csv.DictReader(handle))
-    if not raw:
+    header, table = _csv_table(path, ("true_label",))
+    if not table:
         raise ConfigError(f"{path} holds no prediction rows")
-    prob_columns = sorted((c for c in raw[0] if c.startswith("prob_")),
-                          key=lambda c: int(c.split("_", 1)[1]))
-    labels = np.array([int(row["true_label"]) for row in raw],
-                      dtype=np.int64)
+    prob_columns = sorted(
+        (c for c in header if c.startswith("prob_")),
+        key=lambda c: _parse_cell(path, 1, "column", int, c[len("prob_"):]))
+    labels = np.array(
+        [_parse_cell(path, line, "true_label", int, row["true_label"])
+         for line, row in table], dtype=np.int64)
     probabilities = np.array(
-        [[float(row[c]) for c in prob_columns] for row in raw],
-        dtype=np.float64)
-    metadata = {key: np.array([row[key] for row in raw])
-                for key in _PREDICTION_METADATA if key in raw[0]}
+        [[_parse_cell(path, line, c, float, row[c]) for c in prob_columns]
+         for line, row in table], dtype=np.float64)
+    metadata = {key: np.array([row[key] for _, row in table])
+                for key in _PREDICTION_METADATA if key in header}
     return labels, probabilities, metadata
 
 
@@ -1018,6 +1027,8 @@ def reemit_reports(run_dir) -> None:
         manifest = json.loads(manifest_path.read_text())
     except ValueError as exc:
         raise ConfigError(f"unreadable manifest: {exc}") from None
+    check_structure(manifest, {"kind": str, "best_cell": str, "config": dict},
+                    str(manifest_path))
     config = ExperimentConfig.from_dict(manifest["config"])
     predictions_path = run_dir / "reports" / "predictions.csv"
     _write_tables(run_dir / "reports", manifest["kind"],

@@ -7,10 +7,12 @@ models, averaged at inference). Two optional components attach to the
 Feature/Decision/Hybrid strategies: a gated merge that learns per-feature
 view weights, and an auxiliary-loss term that adds per-view supervision.
 
-The average merge and the zero-initialised gated merge intentionally share
-one arithmetic path (multiply by the per-view weight, then sum over the view
-axis) so that a freshly built gated model is bit-identical to the plain
-average model.
+Every view merge, of raw channels or of embeddings, joins the views along
+their last axis: ``concat`` directly, ``average`` and ``gated`` through one
+stacking helper. The average merge and the zero-initialised gated merge
+intentionally share one arithmetic path (multiply by the per-view weight,
+then sum over the view axis) so that a freshly built gated model is
+bit-identical to the plain average model.
 """
 from __future__ import annotations
 
@@ -111,18 +113,19 @@ class PredictionHead(Module):
     __call__ = forward
 
 
-def _check_equal_widths(zs: list[Tensor]) -> int:
-    widths = {z.shape[-1] for z in zs}
+def _equal_width(widths) -> int:
+    """The one width that stacked or averaged views must share."""
+    widths = set(widths)
     if len(widths) != 1:
-        raise ShapeError(f"merge inputs must share width, got {sorted(widths)}")
+        raise ShapeError(f"merged views must share width, got {sorted(widths)}")
     return widths.pop()
 
 
 def _stack_views(zs: list[Tensor]) -> Tensor:
-    """[B, w] per view -> [B, V, w]."""
-    width = _check_equal_widths(zs)
-    joint = concat(zs, axis=1)
-    return reshape(joint, (joint.shape[0], len(zs), width))
+    """[..., w] per view -> [..., V, w], joined along the last axis."""
+    width = _equal_width(z.shape[-1] for z in zs)
+    joint = concat(zs, axis=-1)
+    return reshape(joint, joint.shape[:-1] + (len(zs), width))
 
 
 class GatedMerge(Module):
@@ -141,14 +144,13 @@ class GatedMerge(Module):
         self.last_weights: np.ndarray | None = None
 
     def forward(self, zs: list[Tensor]) -> Tensor:
-        if len(zs) != self.views:
-            raise ShapeError(f"gate expects {self.views} views, got {len(zs)}")
-        if _check_equal_widths(zs) != self.width:
-            raise ShapeError(f"gate expects width {self.width}")
         stacked = _stack_views(zs)
-        batch = stacked.shape[0]
+        if stacked.shape[1:] != (self.views, self.width):
+            raise ShapeError(f"gate expects {self.views} views of width "
+                             f"{self.width}, got {stacked.shape[1:]}")
+        # a concat of its own: sharing the stack's changes gradient bits
         logits = self.gate(concat(zs, axis=1))
-        alpha = softmax(reshape(logits, (batch, self.views, self.width)), axis=1)
+        alpha = softmax(reshape(logits, stacked.shape), axis=1)
         self.last_weights = alpha.data.copy()
         return reduce_sum(alpha * stacked, axis=1)
 
@@ -156,31 +158,31 @@ class GatedMerge(Module):
 
 
 def average_embeddings(zs: list[Tensor]) -> Tensor:
-    stacked = _stack_views(zs)
-    return reduce_sum(stacked * (1.0 / len(zs)), axis=1)
+    return reduce_sum(_stack_views(zs) * (1.0 / len(zs)), axis=-2)
 
 
 def average_probabilities(ys: list[Tensor]) -> Tensor:
     """Mean of probability rows; the mean of simplex points stays on it."""
     if not ys:
         raise ConfigError("cannot average an empty prediction list")
-    total = ys[0]
-    for y in ys[1:]:
-        total = total + y
-    return total * (1.0 / len(ys))
+    return sum(ys[1:], ys[0]) * (1.0 / len(ys))
 
 
 def merge_embeddings(zs: list[Tensor], kind: str,
                      gate: GatedMerge | None = None) -> Tensor:
+    """Merge per-view tensors along their last axis with a merge that
+    ``resolve_merge`` accepted; ``gated`` runs the model's gate."""
     if kind == "concat":
-        return concat(zs, axis=1)
+        return concat(zs, axis=-1)
     if kind == "average":
         return average_embeddings(zs)
-    if kind == "gated":
-        if gate is None:
-            raise ConfigError("gated merge requires a GatedMerge unit")
-        return gate(zs)
-    raise ConfigError(f"unknown merge {kind!r}")
+    return gate(zs)
+
+
+def _take(batch: dict, name: str):
+    if name not in batch:
+        raise ShapeError(f"batch missing view {name!r}")
+    return batch[name]
 
 
 def align_and_merge_input(batch: dict, views: list[ViewSchema],
@@ -190,15 +192,11 @@ def align_and_merge_input(batch: dict, views: list[ViewSchema],
     Temporal views must agree on the number of steps; static views are
     repeated at every step. With one view this is the identity.
     """
-    if merge not in ("concat", "average"):
-        raise ConfigError(f"input merge must be concat or average, got {merge!r}")
     tensors: list[Tensor] = []
     steps = None
     batch_size = None
     for v in views:
-        if v.name not in batch:
-            raise ShapeError(f"batch missing view {v.name!r}")
-        arr = as_tensor(batch[v.name])
+        arr = as_tensor(_take(batch, v.name))
         if v.temporal:
             if arr.ndim != 3 or arr.shape[2] != v.channels:
                 raise ShapeError(f"view {v.name!r}: expected [B, T, {v.channels}], "
@@ -218,23 +216,12 @@ def align_and_merge_input(batch: dict, views: list[ViewSchema],
         tensors.append(arr)
     if len(views) == 1:
         return tensors[0]
-    if steps is None:  # all static
-        if merge == "concat":
-            return concat(tensors, axis=1)
-        width = _check_equal_widths(tensors)
-        stacked = reshape(concat(tensors, axis=1), (batch_size, len(views), width))
-        return reduce_sum(stacked * (1.0 / len(views)), axis=1)
-    aligned = []
-    for v, arr in zip(views, tensors):
-        if not v.temporal:
-            arr = broadcast_to(reshape(arr, (batch_size, 1, v.channels)),
-                               (batch_size, steps, v.channels))
-        aligned.append(arr)
-    if merge == "concat":
-        return concat(aligned, axis=2)
-    width = _check_equal_widths(aligned)
-    stacked = reshape(concat(aligned, axis=2), (batch_size, steps, len(views), width))
-    return reduce_sum(stacked * (1.0 / len(views)), axis=2)
+    if steps is not None:
+        tensors = [arr if v.temporal else
+                   broadcast_to(reshape(arr, (batch_size, 1, v.channels)),
+                                (batch_size, steps, v.channels))
+                   for v, arr in zip(views, tensors)]
+    return merge_embeddings(tensors, merge)
 
 
 def _encoder_for(view: ViewSchema, config: EncoderConfig) -> Encoder:
@@ -242,12 +229,6 @@ def _encoder_for(view: ViewSchema, config: EncoderConfig) -> Encoder:
     if view.temporal:
         return build_encoder(view, config)
     return build_encoder(view, replace(config, architecture="MLP"))
-
-
-def _take(batch: dict, name: str):
-    if name not in batch:
-        raise ShapeError(f"batch missing view {name!r}")
-    return batch[name]
 
 
 class MVLModel(Module):
@@ -281,25 +262,15 @@ class InputFusion(MVLModel):
         self.views = list(views)
         self.merge_kind = merge
         self.classes = classes
-        if len(views) == 1:
-            fused = views[0]
-        else:
-            temporal = [v for v in views if v.temporal]
-            if temporal:
-                step_set = {v.steps for v in temporal}
-                if len(step_set) != 1:
-                    raise ConfigError(
-                        f"temporal views disagree on steps: {sorted(step_set)}")
-                if merge == "concat":
-                    channels = sum(v.channels for v in views)
-                else:
-                    channels = _equal_channel_width(views)
-                fused = ViewSchema("fused", temporal=True, channels=channels,
-                                   steps=step_set.pop())
-            else:
-                channels = (sum(v.channels for v in views) if merge == "concat"
-                            else _equal_channel_width(views))
-                fused = ViewSchema("fused", temporal=False, channels=channels)
+        steps = {v.steps for v in views if v.temporal}
+        if len(steps) > 1:
+            raise ConfigError(f"temporal views disagree on steps: {sorted(steps)}")
+        channels = (sum(v.channels for v in views) if merge == "concat"
+                    else _equal_width(v.channels for v in views))
+        # one view keeps its own schema; merged views become one "fused" view
+        fused = ViewSchema(views[0].name if len(views) == 1 else "fused",
+                           temporal=bool(steps), channels=channels,
+                           steps=max(steps, default=None))
         self.encoder = _encoder_for(fused, config)
         self.head = PredictionHead(config.embedding_dim, classes,
                                    dropout=config.dropout)
@@ -310,15 +281,32 @@ class InputFusion(MVLModel):
         return FusionOutputs(probabilities=self.head(z, rng))
 
 
-def _equal_channel_width(views: list[ViewSchema]) -> int:
-    widths = {v.channels for v in views}
-    if len(widths) != 1:
-        raise ShapeError(
-            f"average input merge needs equal channel widths, got {sorted(widths)}")
-    return widths.pop()
+class _PerViewFusion(MVLModel):
+    """One encoder per view; the Feature, Decision and Hybrid strategies.
+
+    It defines no ``forward``: each strategy keeps its own, which fixes the
+    order in which encoders and heads draw dropout masks.
+    """
+
+    def __init__(self, views: list[ViewSchema], config: EncoderConfig,
+                 classes: int, merge: str) -> None:
+        self.views = list(views)
+        self.merge_kind = merge
+        self.classes = classes
+        self.encoders = {v.name: _encoder_for(v, config) for v in views}
+
+    def _view_heads(self, config: EncoderConfig) -> dict[str, PredictionHead]:
+        return {v.name: PredictionHead(config.embedding_dim, self.classes,
+                                       dropout=config.dropout)
+                for v in self.views}
+
+    def _embed(self, batch: dict, rng) -> list[Tensor]:
+        """Every view's embedding, in view order."""
+        return [self.encoders[v.name](_take(batch, v.name), rng)
+                for v in self.views]
 
 
-class FeatureFusion(MVLModel):
+class FeatureFusion(_PerViewFusion):
     """Per-view encoders, merged embeddings, one prediction head.
 
     With the auxiliary-loss component, per-view heads produce extra training
@@ -330,47 +318,35 @@ class FeatureFusion(MVLModel):
 
     def __init__(self, views: list[ViewSchema], config: EncoderConfig,
                  classes: int, merge: str = "concat", aux_heads: bool = False) -> None:
-        self.views = list(views)
-        self.merge_kind = merge
-        self.classes = classes
-        self.encoders = {v.name: _encoder_for(v, config) for v in views}
+        super().__init__(views, config, classes, merge)
         width = config.embedding_dim
-        head_in = width * len(views) if merge == "concat" else width
         if merge == "gated":
             self.gate = GatedMerge(len(views), width)
+        head_in = width * len(views) if merge == "concat" else width
         self.head = PredictionHead(head_in, classes, dropout=config.dropout)
-        self.aux_heads = (
-            {v.name: PredictionHead(width, classes, dropout=config.dropout)
-             for v in views} if aux_heads else None)
+        self.aux_heads = self._view_heads(config) if aux_heads else None
 
     def forward(self, batch: dict, rng=None) -> FusionOutputs:
-        zs = {v.name: self.encoders[v.name](_take(batch, v.name), rng)
-              for v in self.views}
-        fused = merge_embeddings([zs[v.name] for v in self.views],
-                                 self.merge_kind, getattr(self, "gate", None))
+        zs = self._embed(batch, rng)
+        fused = merge_embeddings(zs, self.merge_kind, getattr(self, "gate", None))
         probs = self.head(fused, rng)
         view_probs = None
         if (self.aux_heads is not None and self.mode == "train"
                 and self.multiloss_gamma > 0):
-            view_probs = {v.name: self.aux_heads[v.name](zs[v.name], rng)
-                          for v in self.views}
+            view_probs = {v.name: self.aux_heads[v.name](z, rng)
+                          for v, z in zip(self.views, zs)}
         return FusionOutputs(probabilities=probs, view_probabilities=view_probs)
 
 
-class DecisionFusion(MVLModel):
+class DecisionFusion(_PerViewFusion):
     """Per-view encoder+head pairs; class probabilities merged across views."""
 
     strategy = "Decision"
 
     def __init__(self, views: list[ViewSchema], config: EncoderConfig,
                  classes: int, merge: str = "average") -> None:
-        self.views = list(views)
-        self.merge_kind = merge
-        self.classes = classes
-        self.encoders = {v.name: _encoder_for(v, config) for v in views}
-        self.heads = {v.name: PredictionHead(config.embedding_dim, classes,
-                                             dropout=config.dropout)
-                      for v in views}
+        super().__init__(views, config, classes, merge)
+        self.heads = self._view_heads(config)
         if merge == "gated":
             self.gate = GatedMerge(len(views), classes)
 
@@ -382,16 +358,17 @@ class DecisionFusion(MVLModel):
         return average_probabilities(ys)
 
     def forward(self, batch: dict, rng=None) -> FusionOutputs:
+        # each view runs its encoder and then its head before the next view
         view_probs = {
             v.name: self.heads[v.name](
                 self.encoders[v.name](_take(batch, v.name), rng), rng)
             for v in self.views
         }
-        fused = self.merge_probabilities([view_probs[v.name] for v in self.views])
+        fused = self.merge_probabilities(list(view_probs.values()))
         return FusionOutputs(probabilities=fused, view_probabilities=view_probs)
 
 
-class HybridFusion(MVLModel):
+class HybridFusion(_PerViewFusion):
     """Feature and decision branches over shared per-view encoders.
 
     The final prediction is the unweighted average of the two branch
@@ -402,28 +379,20 @@ class HybridFusion(MVLModel):
 
     def __init__(self, views: list[ViewSchema], config: EncoderConfig,
                  classes: int, merge: str = "average") -> None:
-        self.views = list(views)
-        self.merge_kind = merge
-        self.classes = classes
-        self.encoders = {v.name: _encoder_for(v, config) for v in views}
-        self.heads = {v.name: PredictionHead(config.embedding_dim, classes,
-                                             dropout=config.dropout)
-                      for v in views}
+        super().__init__(views, config, classes, merge)
+        self.heads = self._view_heads(config)
         if merge == "gated":
             self.gate = GatedMerge(len(views), config.embedding_dim)
         self.feature_head = PredictionHead(config.embedding_dim, classes,
                                            dropout=config.dropout)
 
     def forward(self, batch: dict, rng=None) -> FusionOutputs:
-        zs = {v.name: self.encoders[v.name](_take(batch, v.name), rng)
-              for v in self.views}
-        fused_z = merge_embeddings([zs[v.name] for v in self.views],
-                                   self.merge_kind, getattr(self, "gate", None))
+        zs = self._embed(batch, rng)
+        fused_z = merge_embeddings(zs, self.merge_kind, getattr(self, "gate", None))
         feature_probs = self.feature_head(fused_z, rng)
-        view_probs = {v.name: self.heads[v.name](zs[v.name], rng)
-                      for v in self.views}
-        decision_probs = average_probabilities(
-            [view_probs[v.name] for v in self.views])
+        view_probs = {v.name: self.heads[v.name](z, rng)
+                      for v, z in zip(self.views, zs)}
+        decision_probs = average_probabilities(list(view_probs.values()))
         final = average_probabilities([feature_probs, decision_probs])
         return FusionOutputs(probabilities=final, view_probabilities=view_probs,
                              feature_probabilities=feature_probs,
@@ -460,10 +429,7 @@ def multi_loss(fused_loss: Tensor, view_losses: list[Tensor],
         return fused_loss
     if not view_losses:
         raise ConfigError("per-view losses required when the auxiliary weight is > 0")
-    total = view_losses[0]
-    for vl in view_losses[1:]:
-        total = total + vl
-    return fused_loss + total * gamma
+    return fused_loss + sum(view_losses[1:], view_losses[0]) * gamma
 
 
 def formula_count(strategy: str, n_encoder: int, n_head: int, views: int) -> int:

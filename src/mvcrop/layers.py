@@ -79,17 +79,17 @@ class Module:
     def initialize(self, seed: int) -> None:
         for name, p in self.named_parameters().items():
             if p.init == "zeros":
-                p.tensor.data = np.zeros(p.data.shape)
+                p.data = np.zeros(p.data.shape)
             elif p.init == "ones":
-                p.tensor.data = np.ones(p.data.shape)
+                p.data = np.ones(p.data.shape)
             elif p.init == "fanin_uniform":
                 fan = p.fan if p.fan else max(1, p.data.shape[0])
                 bound = 1.0 / np.sqrt(fan)
                 rng = named_stream(seed, f"init/{name}")
-                p.tensor.data = rng.uniform(-bound, bound, size=p.data.shape)
+                p.data = rng.uniform(-bound, bound, size=p.data.shape)
             else:
                 raise ConfigError(f"unknown init policy {p.init!r} on {name}")
-            p.tensor.grad = None
+            p.grad = None
 
     def load_buffers(self, values: dict[str, np.ndarray]) -> None:
         own = self.named_buffers()
@@ -111,7 +111,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_dim), init="zeros")
 
     def forward(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight.tensor, self.bias.tensor)
+        return linear(x, self.weight, self.bias)
 
     __call__ = forward
 
@@ -127,7 +127,7 @@ class Conv1dSame(Module):
         self.bias = Parameter(np.zeros(out_ch), init="zeros")
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv1d_same(x, self.weight.tensor, self.bias.tensor)
+        return conv1d_same(x, self.weight, self.bias)
 
     __call__ = forward
 
@@ -147,13 +147,13 @@ class BatchNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if self.mode == "train":
-            out, mean, var = batch_norm_train(x, self.gamma.tensor, self.beta.tensor, self.eps)
+            out, mean, var = batch_norm_train(x, self.gamma, self.beta, self.eps)
             m = self.momentum
             self._buffers["running_mean"] = (1 - m) * self._buffers["running_mean"] + m * mean
             self._buffers["running_var"] = (1 - m) * self._buffers["running_var"] + m * var
             return out
         return batch_norm_infer(
-            x, self.gamma.tensor, self.beta.tensor,
+            x, self.gamma, self.beta,
             self._buffers["running_mean"], self._buffers["running_var"], self.eps,
         )
 
@@ -167,7 +167,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain.tensor, self.bias.tensor, self.eps)
+        return layer_norm(x, self.gain, self.bias, self.eps)
 
     __call__ = forward
 

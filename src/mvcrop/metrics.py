@@ -149,6 +149,14 @@ def auc_roc(scores, y_true) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def row_entropy(probabilities) -> np.ndarray:
+    """Per-row prediction entropy ``-sum_k p log p`` in nats (0 log 0 = 0)."""
+    probs = np.asarray(probabilities, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
+    return -terms.sum(axis=1)
+
+
 def uncertainty(probabilities, normalize: bool = True) -> tuple[float, float]:
     """(mean max probability, mean prediction entropy).
 
@@ -157,9 +165,7 @@ def uncertainty(probabilities, normalize: bool = True) -> tuple[float, float]:
     """
     probs = np.asarray(probabilities, dtype=np.float64)
     max_probability = float(probs.max(axis=1).mean())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(probs > 0.0, probs * np.log(probs), 0.0)
-    entropy = float(-terms.sum(axis=1).mean())
+    entropy = float(row_entropy(probs).mean())
     if normalize:
         entropy /= np.log(probs.shape[1])
     return max_probability, entropy

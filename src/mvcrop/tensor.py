@@ -143,24 +143,17 @@ def _record(inputs: tuple[Tensor, ...], output, backward) -> None:
     _TAPES.stack[-1].records.append(_Record(inputs, output, backward))
 
 
-class Parameter:
-    """A named trainable leaf. ``init`` tags the initialisation policy."""
+class Parameter(Tensor):
+    """A named trainable leaf tensor. ``init`` tags the initialisation
+    policy and ``fan`` overrides the fan-in that it scales by."""
 
-    __slots__ = ("tensor", "name", "init", "fan")
+    __slots__ = ("name", "init", "fan")
 
     def __init__(self, data, init: str = "fanin_uniform", fan: int | None = None) -> None:
-        self.tensor = Tensor(data, requires_grad=True)
+        super().__init__(data, requires_grad=True)
         self.name = ""
         self.init = init
         self.fan = fan
-
-    @property
-    def data(self) -> Array:
-        return self.tensor.data
-
-    @property
-    def grad(self) -> Array | None:
-        return self.tensor.grad
 
 
 def as_tensor(value) -> Tensor:

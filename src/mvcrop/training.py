@@ -129,12 +129,7 @@ class Adam:
             self.state[name] = (m, v)
             mhat = m / (1.0 - self.beta1 ** t)
             vhat = v / (1.0 - self.beta2 ** t)
-            param.tensor.data = param.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def _clear_gradients(params: Mapping[str, Parameter]) -> None:
-    for param in params.values():
-        param.tensor.grad = None
+            param.data = param.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +305,8 @@ def train(model, dataset: Dataset, config: TrainConfig) -> TrainResult:
                     loss = multi_loss(loss, view_losses, gamma)
                 backward(loss, tape)
             optimizer.step(params)
-            _clear_gradients(params)
+            for param in params.values():
+                param.grad = None
             running += loss.data.item() * chunk.size
             seen += chunk.size
         train_losses.append(running / seen)
@@ -379,7 +375,7 @@ def _copy_state(model) -> dict:
 def _load_state(model, state: dict) -> None:
     """Point the parameters at ``state``'s arrays and copy its buffers in."""
     for name, p in model.named_parameters().items():
-        p.tensor.data = state[("param", name)]
+        p.data = state[("param", name)]
     buffers = {name: arr for (kind, name), arr in state.items() if kind == "buffer"}
     if buffers:
         model.load_buffers(buffers)

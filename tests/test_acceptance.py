@@ -397,15 +397,15 @@ def _module_fd(loss_fn, module, step: float = _STEP) -> float:
     """
     params = module.named_parameters()
     for p in params.values():
-        p.tensor.grad = None
+        p.grad = None
     with Tape() as tape:
         loss = loss_fn()
     backward(loss, tape)
     worst = 0.0
     for p in params.values():
-        grad = p.tensor.grad
+        grad = p.grad
         analytic = (np.zeros(p.data.shape) if grad is None else grad).reshape(-1)
-        flat = p.tensor.data.reshape(-1)
+        flat = p.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             for h in (step, step / 4.0, step / 16.0):
@@ -714,7 +714,7 @@ def _copy_weights(source, target) -> None:
     target_params = target.named_parameters()
     assert list(source_params) == list(target_params)
     for name, parameter in source_params.items():
-        target_params[name].tensor.data = parameter.data.copy()
+        target_params[name].data = parameter.data.copy()
     buffers = source.named_buffers()
     if buffers:
         target.load_buffers({name: array.copy()

@@ -1,8 +1,10 @@
 """Command-line interface tests: every subcommand, flag overrides, the
 run-directory layout, report re-emission, and the 0/1/2 exit-code contract."""
 
+import csv
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -374,6 +376,33 @@ class TestGridAndSearch:
         assert code == 0
 
 
+@pytest.fixture(scope="module")
+def report_run(data_path, tmp_path_factory):
+    root = tmp_path_factory.mktemp("report")
+    config = write_config(root / "config.json", data_path, root / "run")
+    assert main(["train", "--config", str(config)]) == 0
+    return root / "run"
+
+
+def _truncate_first_row(path, cells=5):
+    lines = path.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:cells])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_csv(path, column, value=None):
+    """Set ``column`` of the first data row to ``value``, or drop the
+    column when ``value`` is None."""
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    header = [c for c in rows[0] if value is not None or c != column]
+    rows[0][column] = value
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, header, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 class TestReport:
     def test_re_emits_summary_byte_identical(self, capsys, data_path,
                                              tmp_path):
@@ -396,6 +425,34 @@ class TestReport:
                                str(tmp_path / "none"))
         assert code == 1
         assert err
+
+    @pytest.mark.parametrize("edit,needle", [
+        (lambda run: (run / "manifest").write_text("{}"), "manifest lacks"),
+        (lambda run: (run / "manifest").write_text("[1]"),
+         "manifest must be an object"),
+        (lambda run: _edit_csv(run / "records.csv", "repetition", "x"),
+         "records.csv line 2"),
+        (lambda run: _edit_csv(run / "records.csv", "samples"),
+         "records.csv line 1"),
+        (lambda run: _truncate_first_row(run / "records.csv"),
+         "records.csv line 2"),
+        (lambda run: _edit_csv(run / "reports" / "predictions.csv",
+                               "prob_1", "x"), "predictions.csv line 2"),
+        (lambda run: _edit_csv(run / "reports" / "predictions.csv",
+                               "true_label"), "predictions.csv line 1"),
+    ], ids=["manifest-empty-object", "manifest-list", "records-bad-int",
+            "records-missing-column", "records-short-row",
+            "predictions-bad-float",
+            "predictions-missing-column"])
+    def test_malformed_input_exits_1_naming_the_file(
+            self, capsys, tmp_path, report_run, edit, needle):
+        run_dir = tmp_path / "run"
+        shutil.copytree(report_run, run_dir)
+        edit(run_dir)
+        code, _, err = run_cli(capsys, "report", "--records", str(run_dir))
+        assert code == 1
+        assert needle in err
+        assert "runtime error" not in err
 
 
 class TestConsoleEntry:

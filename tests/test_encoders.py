@@ -216,27 +216,25 @@ class TestMLPEncoder:
 class TestGRU:
     def _unit_cell(self) -> GRUCell:
         cell = GRUCell(1, 1)
-        cell.w_in.tensor.data[...] = 1.0
-        cell.w_hid.tensor.data[...] = 1.0
+        cell.w_in.data[...] = 1.0
+        cell.w_hid.data[...] = 1.0
         return cell
 
     def test_scalar_step_hand_value(self):
-        cell = self._unit_cell()
-        h = cell.initial_state(1)
-        h = cell.step(T.Tensor([[1.0]]), h)
+        hs = self._unit_cell().outputs(T.Tensor([[[1.0]]]))
         expected = (1.0 - SIG1) * TANH1
-        assert abs(h.data[0, 0] - expected) < 1e-12
-        assert abs(h.data[0, 0] - 0.2048) < 1e-4
+        assert hs.shape == (1, 1, 1)
+        assert abs(hs.data[0, 0, 0] - expected) < 1e-12
+        assert abs(hs.data[0, 0, 0] - 0.2048) < 1e-4
 
     def test_two_step_recurrence_applies_reset_before_sum(self):
-        cell = self._unit_cell()
-        h = cell.step(T.Tensor([[1.0]]), cell.initial_state(1))
-        h = cell.step(T.Tensor([[1.0]]), h)
+        hs = self._unit_cell().outputs(T.Tensor([[[1.0], [1.0]]]))
         h1 = (1.0 - SIG1) * TANH1
         z2 = r2 = 1.0 / (1.0 + np.exp(-(1.0 + h1)))
         n2 = np.tanh(1.0 + r2 * h1)
         expected = (1.0 - z2) * n2 + z2 * h1
-        assert abs(h.data[0, 0] - expected) < 1e-12
+        assert abs(hs.data[0, 0, 0] - h1) < 1e-12
+        assert abs(hs.data[0, 1, 0] - expected) < 1e-12
 
     def test_zero_parameters_fixed_point(self):
         enc = GRUEncoder(canonical_schema("radar"), cfg("GRU"))
@@ -258,15 +256,31 @@ class TestGRU:
 class TestLSTM:
     def test_scalar_step_hand_values(self):
         cell = LSTMCell(1, 1)
-        cell.w_in.tensor.data[...] = 1.0
-        cell.w_hid.tensor.data[...] = 1.0
-        h, c = cell.step(T.Tensor([[1.0]]), cell.initial_state(1))
+        cell.w_in.data[...] = 1.0
+        cell.w_hid.data[...] = 1.0
+        hs, c = T.lstm_sequence(T.Tensor([[[1.0]]]), cell.w_in, cell.w_hid,
+                                cell.b_in, cell.b_hid)
         c_expected = SIG1 * TANH1
         h_expected = SIG1 * np.tanh(c_expected)
         assert abs(c.data[0, 0] - c_expected) < 1e-12
-        assert abs(h.data[0, 0] - h_expected) < 1e-12
+        assert abs(hs.data[0, 0, 0] - h_expected) < 1e-12
         assert abs(c.data[0, 0] - 0.5569) < 2.5e-4
-        assert abs(h.data[0, 0] - 0.3695) < 2.5e-4
+        assert abs(hs.data[0, 0, 0] - 0.3695) < 2.5e-4
+        assert np.array_equal(cell.outputs(T.Tensor([[[1.0]]])).data, hs.data)
+
+    def test_two_step_recurrence(self):
+        cell = LSTMCell(1, 1)
+        cell.w_in.data[...] = 1.0
+        cell.w_hid.data[...] = 1.0
+        hs, c = T.lstm_sequence(T.Tensor([[[1.0], [1.0]]]), cell.w_in,
+                                cell.w_hid, cell.b_in, cell.b_hid)
+        c1 = SIG1 * TANH1
+        h1 = SIG1 * np.tanh(c1)
+        gate = 1.0 / (1.0 + np.exp(-(1.0 + h1)))
+        c2 = gate * c1 + gate * np.tanh(1.0 + h1)
+        assert abs(hs.data[0, 0, 0] - h1) < 1e-12
+        assert abs(c.data[0, 0] - c2) < 1e-12
+        assert abs(hs.data[0, 1, 0] - gate * np.tanh(c2)) < 1e-12
 
     def test_zero_parameters_fixed_point(self):
         enc = LSTMEncoder(canonical_schema("radar"), cfg("LSTM"))
@@ -308,7 +322,7 @@ class TestTempCNN:
         w = np.zeros((3, 3, 5))
         for ch in range(3):
             w[ch, ch, 2] = 1.0
-        conv.weight.tensor.data[...] = w
+        conv.weight.data[...] = w
         x = np.random.default_rng(5).standard_normal((2, 12, 3))
         out = conv(T.Tensor(x))
         assert np.allclose(out.data, x, atol=1e-15, rtol=0)
@@ -415,7 +429,7 @@ class TestAttentionEncoders:
         ltae.set_mode("infer")
         batch = np.repeat(rng.standard_normal((1, 12, 2)), 3, axis=0)
         out_tae = tae(T.Tensor(batch))
-        ltae.q_master.tensor.data[...] = tae.last_master_query[0]
+        ltae.q_master.data[...] = tae.last_master_query[0]
         out_ltae = ltae(T.Tensor(batch))
         assert np.allclose(out_tae.data, out_ltae.data, atol=1e-12, rtol=0)
 

@@ -334,6 +334,16 @@ class TestFingerprint:
         assert len(fp) == 16
         int(fp, 16)
 
+    def test_pinned_literals(self):
+        """Manifests and fingerprints must not drift with the config code."""
+        assert ExperimentConfig().fingerprint() == "913216bb2458efd9"
+        config = ExperimentConfig(
+            views=("optical", "radar"), encoder="TAE", strategy="Hybrid",
+            component="multiloss", gamma=0.5,
+            encoder_options={"hidden": 32},
+            train=TrainConfig(batch_size=64), group_by=["year"])
+        assert config.fingerprint() == "174828c244d4ab24"
+
     def test_seed_changes_fingerprint(self):
         assert (ExperimentConfig(seed_base=0).fingerprint()
                 != ExperimentConfig(seed_base=1).fingerprint())

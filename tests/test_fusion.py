@@ -3,12 +3,15 @@ the gated-merge and auxiliary-loss components, the fusion rules, the module
 tree walk, and parameter-count formulas."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from mvcrop import tensor as T
 from mvcrop.encoders import EncoderConfig
 from mvcrop.errors import ConfigError, ShapeError
+from mvcrop.experiments import grid_cells
 from mvcrop.fusion import (
     STRATEGIES,
     DecisionFusion,
@@ -26,6 +29,7 @@ from mvcrop.fusion import (
     resolve_merge,
 )
 from mvcrop.tensor import Parameter
+from mvcrop.training import _state
 from mvcrop.views import ViewSchema, canonical_schema
 
 RADAR = canonical_schema("radar")
@@ -91,7 +95,7 @@ class TestGatedMerge:
         rng = np.random.default_rng(4)
         gate = GatedMerge(views=4, width=6)
         gate.initialize(4)  # gate weight stays zero-init; bias is zeros
-        gate.gate.weight.tensor.data[...] = rng.standard_normal(
+        gate.gate.weight.data[...] = rng.standard_normal(
             gate.gate.weight.data.shape)
         zs = [T.Tensor(rng.standard_normal((3, 6))) for _ in range(4)]
         gate(zs)
@@ -103,7 +107,7 @@ class TestGatedMerge:
     def test_hand_weighted_sum(self):
         gate = GatedMerge(views=2, width=2)
         ln9 = np.log(9.0)
-        gate.gate.bias.tensor.data[...] = np.array([ln9, -ln9, 0.0, 0.0])
+        gate.gate.bias.data[...] = np.array([ln9, -ln9, 0.0, 0.0])
         z1 = T.Tensor(np.array([[1.0, 1.0]]))
         z2 = T.Tensor(np.array([[0.0, 0.0]]))
         fused = gate([z1, z2])
@@ -112,7 +116,7 @@ class TestGatedMerge:
     def test_saturated_gate_selects_view(self):
         rng = np.random.default_rng(5)
         gate = GatedMerge(views=2, width=3)
-        gate.gate.bias.tensor.data[...] = np.array([50.0] * 3 + [0.0] * 3)
+        gate.gate.bias.data[...] = np.array([50.0] * 3 + [0.0] * 3)
         z1 = T.Tensor(rng.standard_normal((2, 3)))
         z2 = T.Tensor(rng.standard_normal((2, 3)))
         fused = gate([z1, z2])
@@ -178,7 +182,7 @@ class TestInputFusion:
 
     def test_static_only_input_uses_mlp(self):
         model = build_model([TOPO], "Input", cfg("GRU"), classes=2)
-        assert model.encoder.schema.temporal is False
+        assert model.encoder.schema == TOPO
         probs = model.predict(make_batch([TOPO], 3))
         assert probs.shape == (3, 2)
 
@@ -202,7 +206,7 @@ class TestFeatureFusion:
         src = model.encoders["radar"].named_parameters()
         dst = model.encoders["weather"].named_parameters()
         for name, p in src.items():
-            dst[name].tensor.data[...] = p.data
+            dst[name].data[...] = p.data
         x = np.random.default_rng(9).standard_normal((3, 12, 2))
         batch = {"radar": x, "weather": x}
         probs = model.predict(batch)
@@ -270,7 +274,7 @@ class TestDecisionFusion:
         model = build_model([RADAR, WEATHER], "Decision", cfg("GRU"), classes=2,
                             component="gfusion")
         ln4 = np.log(4.0)  # softmax([ln4, 0]) = [0.8, 0.2]
-        model.gate.gate.bias.tensor.data[...] = np.array([ln4, ln4, 0.0, 0.0])
+        model.gate.gate.bias.data[...] = np.array([ln4, ln4, 0.0, 0.0])
         y1 = T.Tensor(np.array([[1.0, 0.0]]))
         y2 = T.Tensor(np.array([[0.0, 1.0]]))
         merged = model.merge_probabilities([y1, y2])
@@ -280,7 +284,7 @@ class TestDecisionFusion:
         model = build_model([RADAR, WEATHER], "Decision", cfg("GRU"), classes=3,
                             component="gfusion")
         model.initialize(13)
-        model.gate.gate.weight.tensor.data[...] = np.random.default_rng(13).standard_normal(
+        model.gate.gate.weight.data[...] = np.random.default_rng(13).standard_normal(
             model.gate.gate.weight.data.shape)
         model.set_mode("infer")
         probs = model.predict(make_batch([RADAR, WEATHER], 5))
@@ -317,7 +321,7 @@ class TestHybridFusion:
         batch = make_batch([RADAR, WEATHER], 2)
         base = model.forward(batch)
         param = model.encoders["radar"].proj.weight
-        param.tensor.data[0, 0] += 1e-3
+        param.data[0, 0] += 1e-3
         bumped = model.forward(batch)
         assert not np.array_equal(base.feature_probabilities.data,
                                   bumped.feature_probabilities.data)
@@ -343,11 +347,11 @@ class TestEnsemble:
             enc_src = decision.encoders[view].named_parameters()
             enc_dst = member.encoder.named_parameters()
             for name, p in enc_src.items():
-                enc_dst[name].tensor.data[...] = p.data
+                enc_dst[name].data[...] = p.data
             head_src = decision.heads[view].named_parameters()
             head_dst = member.head.named_parameters()
             for name, p in head_src.items():
-                head_dst[name].tensor.data[...] = p.data
+                head_dst[name].data[...] = p.data
         decision.set_mode("infer")
         ensemble.set_mode("infer")
         batch = make_batch([RADAR, WEATHER], 4)
@@ -462,6 +466,32 @@ class TestModuleWalk:
         for name, arr in buffers.items():
             path, key = name.rsplit(".", 1)
             assert _lookup(model, path)._buffers[key] is arr
+
+
+class TestCheckpointLayout:
+    """A checkpoint stores its entries in ``_state`` order, so the ordered
+    ``(kind, name, shape)`` list of every grid cell is pinned: reordering a
+    model's attributes would change checkpoint bytes."""
+
+    @staticmethod
+    def _layout(names, strategy, encoder, component="none", merge=None):
+        model = build_model([canonical_schema(n) for n in names], strategy,
+                            EncoderConfig(encoder), classes=2, merge=merge,
+                            component=component)
+        return [(kind, name, arr.shape)
+                for (kind, name), arr in _state(model).items()]
+
+    def test_grid_cells_and_average_merges(self):
+        four = ("optical", "radar", "weather", "topography")
+        layouts = [self._layout(four, c.strategy, c.encoder, c.component)
+                   for c in grid_cells("LTAE")]
+        layouts += [self._layout(("radar", "weather"), strategy, "GRU",
+                                 merge="average")
+                    for strategy in ("Input", "Feature")]
+        assert len(layouts) == 33
+        digest = hashlib.sha256(repr(layouts).encode()).hexdigest()
+        assert digest == ("7eeab2f1b3c429b234f81c68372d50c7"
+                          "98684ae48609affa873d4f0bc1e81378")
 
 
 class TestComponentLegality:

@@ -17,6 +17,7 @@ from mvcrop.metrics import (
     grouped_report,
     kappa_binary_closed_form,
     one_vs_rest_counts,
+    row_entropy,
     uncertainty,
 )
 
@@ -249,6 +250,13 @@ class TestUncertainty:
         probs = np.full((2, 4), 0.25)
         _, entropy = uncertainty(probs, normalize=False)
         assert abs(entropy - np.log(4.0)) < 1e-12
+
+    def test_row_entropy_is_the_unnormalised_per_row_term(self):
+        probs = np.array([[1.0, 0.0], [0.5, 0.5], [0.9, 0.1]])
+        rows = row_entropy(probs)
+        assert rows[0] == 0.0
+        assert abs(rows[1] - np.log(2.0)) < 1e-15
+        assert uncertainty(probs, normalize=False)[1] == rows.mean()
 
     def test_temperature_monotonicity(self):
         rng = np.random.default_rng(8)

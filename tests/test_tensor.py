@@ -744,12 +744,12 @@ def _taped_step(module, loss_of, sweep):
     module.set_mode("train")
     params = module.named_parameters()
     for p in params.values():
-        p.tensor.grad = None
+        p.grad = None
     with T.Tape() as tape:
         loss = loss_of(module, np.random.default_rng(11))
     intermediates = _outputs(tape)
     sweep(loss, tape)
-    return {name: p.tensor.grad for name, p in params.items()}, intermediates
+    return {name: p.grad for name, p in params.items()}, intermediates
 
 
 def _assert_step_matches_keeping_sweep(module, loss_of):

@@ -190,7 +190,7 @@ def make_param(values, name="p"):
 class TestAdam:
     def test_first_step_closed_form(self):
         p = make_param([2.0])
-        p.tensor.grad = np.array([1.0])
+        p.grad = np.array([1.0])
         Adam().step({"p": p})
         delta = p.data[0] - 2.0
         # stated update rule: theta -= lr * mhat / (sqrt(vhat) + eps)
@@ -200,7 +200,7 @@ class TestAdam:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = make_param([3.0, -1.0])
         before = p.data.copy()
-        p.tensor.grad = np.zeros(2)
+        p.grad = np.zeros(2)
         Adam().step({"p": p})
         assert np.array_equal(p.data, before)
 
@@ -216,7 +216,7 @@ class TestAdam:
         opt = Adam()
         seen = [p.data[0]]
         for _ in range(4):
-            p.tensor.grad = np.array([-2.0])
+            p.grad = np.array([-2.0])
             opt.step({"p": p})
             seen.append(p.data[0])
         diffs = np.diff(seen)
@@ -226,13 +226,13 @@ class TestAdam:
         p = make_param([0.0])
         opt = Adam()
         for _ in range(3):
-            p.tensor.grad = np.array([1.0])
+            p.grad = np.array([1.0])
             opt.step({"p": p})
         assert abs(p.data[0] - 3 * (-1e-3 / (1.0 + 1e-8))) < 1e-12
 
     def test_non_finite_gradient_names_parameter(self):
         p = make_param([1.0], name="encoders.radar.proj.weight")
-        p.tensor.grad = np.array([np.nan])
+        p.grad = np.array([np.nan])
         with pytest.raises(NumericError, match="encoders.radar.proj.weight"):
             Adam().step({"encoders.radar.proj.weight": p})
 
@@ -240,7 +240,7 @@ class TestAdam:
         p = make_param(np.zeros((2, 3)))
         opt = Adam()
         for _ in range(2):
-            p.tensor.grad = np.ones((2, 3))
+            p.grad = np.ones((2, 3))
             opt.step({"p": p})
         assert opt.step_count == 2
         m, v = opt.state["p"]
@@ -249,8 +249,8 @@ class TestAdam:
     def test_parameters_update_independently(self):
         a, b = make_param([0.0]), make_param([0.0])
         opt = Adam()
-        a.tensor.grad = np.array([1.0])
-        b.tensor.grad = np.array([-1.0])
+        a.grad = np.array([1.0])
+        b.grad = np.array([-1.0])
         opt.step({"a": a, "b": b})
         assert a.data[0] < 0 < b.data[0]
         assert abs(a.data[0] + b.data[0]) < 1e-18

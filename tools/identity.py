@@ -1,0 +1,209 @@
+#!/usr/bin/env python3
+"""Byte-identity check of run outputs between a git revision and this tree.
+
+    python tools/identity.py --against REV [--threads 1 2] [--smoke]
+                             [--expect-diff GLOB ...]
+
+REV is checked out with ``git worktree`` into a temporary directory and
+removed again afterwards; nothing leaves the machine. For each BLAS thread
+count (``OPENBLAS_NUM_THREADS``) a fresh child process per tree runs one
+fixed matrix with that tree's ``mvcrop``:
+
+- data: synthetic ``complementary``, 131 samples (odd trailing batches),
+  plus the derived ``ndvi`` view and a 2-channel ``weather`` view;
+- training: batch 16, 3 epochs, patience 2, tiny widths, dropout 0.2;
+- protocols: ``run_grid`` at jobs 2, ``run_search`` and TAE
+  ``single_view_baselines``, one repetition each;
+- seven ``run_cell`` configs (``CELLS``), two repetitions each.
+
+``--smoke`` runs only ``SMOKE_CELLS`` at one repetition. Every output file
+is hashed with sha256. ``timings.csv`` is skipped, and a manifest's
+``created`` and ``output_dir`` values are blanked before hashing. The JSON
+report goes to stdout. The exit status is 1 when a file differs, or exists
+in one tree only, and matches no ``--expect-diff`` glob (``fnmatch`` on the
+path relative to the output root, e.g. ``grid/manifest``).
+
+Comparing one thread count's outputs with another's is not done here.
+"""
+from __future__ import annotations
+
+import argparse
+import fnmatch
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ALL_VIEWS = ("optical", "radar", "ndvi", "weather")
+TINY = {"hidden": 8, "layers": 2, "embedding_dim": 8, "dense": 16,
+        "heads": 2, "key_dim": 4, "attn_width": 8, "kernel": 3,
+        "dropout": 0.2}
+# name -> (views, encoder, strategy, component, merge)
+CELLS = {
+    "gru-input-average": (("radar", "weather"), "GRU", "Input", "none",
+                          "average"),
+    "lstm-feature-average": (ALL_VIEWS, "LSTM", "Feature", "none",
+                             "average"),
+    "tempcnn-decision-gated": (ALL_VIEWS, "TempCNN", "Decision", "none",
+                               "gated"),
+    "tae-hybrid-gfusion": (ALL_VIEWS, "TAE", "Hybrid", "gfusion", None),
+    "ltae-feature-multiloss-gated": (ALL_VIEWS, "LTAE", "Feature",
+                                     "multiloss", "gated"),
+    "gru-ensemble": (ALL_VIEWS, "GRU", "Ensemble", "none", None),
+    "lstm-hybrid-multiloss": (ALL_VIEWS, "LSTM", "Hybrid", "multiloss", None),
+}
+SMOKE_CELLS = ("gru-input-average", "ltae-feature-multiloss-gated")
+_BLANKED = re.compile(rb'("(?:created|output_dir)": )"[^"]*"')
+
+
+def run_matrix(smoke: bool) -> None:
+    """Write every run of the matrix below the working directory. A run
+    that raises leaves ``error.txt`` in its directory instead."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from mvcrop.data import SynthSpec, synth_generate, with_ndvi
+    from mvcrop.experiments import (
+        ExperimentConfig,
+        run_cell,
+        run_grid,
+        run_search,
+        single_view_baselines,
+    )
+    from mvcrop.training import TrainConfig
+    from mvcrop.views import ViewSchema
+
+    base = with_ndvi(synth_generate(
+        SynthSpec(kind="complementary", samples=131), seed=5))
+    steps = base.schema("optical").steps
+    dataset = replace(
+        base, schemas=base.schemas + (ViewSchema("weather", True, 2, steps),),
+        arrays={**base.arrays, "weather": np.random.default_rng(7).normal(
+            size=(len(base), steps, 2))})
+    config = ExperimentConfig(
+        task="binary", views=ALL_VIEWS, repetitions=1 if smoke else 2,
+        seed_base=3, encoder_options=TINY,
+        train=TrainConfig(batch_size=16, max_epochs=3, patience=2))
+    runs = [(name, run_cell, dict(
+        views=views, encoder=encoder, strategy=strategy,
+        component=component, merge=merge))
+        for name, (views, encoder, strategy, component, merge)
+        in CELLS.items() if not smoke or name in SMOKE_CELLS]
+    if not smoke:
+        runs += [("grid", run_grid, dict(repetitions=1, jobs=2)),
+                 ("search", run_search, dict(repetitions=1)),
+                 ("baselines", single_view_baselines,
+                  dict(repetitions=1, encoder="TAE"))]
+    for name, runner, fields in runs:
+        try:
+            runner(dataset, replace(config, output_dir=name, **fields))
+        except Exception as exc:  # an identical failure is identical output
+            Path(name).mkdir(parents=True, exist_ok=True)
+            Path(name, "error.txt").write_text(
+                f"{type(exc).__name__}: {exc}\n")
+
+
+def digest_outputs(root: Path) -> dict[str, str]:
+    """sha256 of every output file below ``root`` by relative path."""
+    digests = {}
+    for path in sorted(root.rglob("*")):
+        if not path.is_file() or path.name == "timings.csv":
+            continue
+        blob = path.read_bytes()
+        if path.name == "manifest":
+            blob = _BLANKED.sub(rb'\1""', blob)
+        digests[path.relative_to(root).as_posix()] = (
+            hashlib.sha256(blob).hexdigest())
+    return digests
+
+
+def compare(rev: dict, tree: dict, expected=()) -> list[dict]:
+    """One entry per file that differs or exists in one tree only."""
+    out = []
+    for name in sorted(set(rev) | set(tree)):
+        if rev.get(name) == tree.get(name):
+            continue
+        status = ("only-in-tree" if name not in rev
+                  else "only-in-rev" if name not in tree else "changed")
+        out.append({"file": name, "status": status,
+                    "expected": any(fnmatch.fnmatchcase(name, pattern)
+                                    for pattern in expected)})
+    return out
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def _outputs(src: Path, out: Path, threads: int, smoke: bool) -> dict:
+    """Run the matrix in a child process on ``src``'s package."""
+    out.mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(src),
+           "OPENBLAS_NUM_THREADS": str(threads)}
+    command = [sys.executable, str(Path(__file__).resolve()), "--child",
+               str(src)] + (["--smoke"] if smoke else [])
+    proc = subprocess.run(command, cwd=out, env=env, capture_output=True,
+                          text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"matrix on {src} failed:\n{proc.stderr}")
+    return digest_outputs(out)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", help="git revision to compare with")
+    parser.add_argument("--threads", type=int, nargs="+", default=[1, 2],
+                        help="BLAS thread counts (default: 1 2)")
+    parser.add_argument("--smoke", action="store_true",
+                        help="only the smoke cells, one repetition")
+    parser.add_argument("--expect-diff", action="append", default=[],
+                        metavar="GLOB", help="a by-design difference")
+    parser.add_argument("--child", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        import mvcrop
+        if Path(mvcrop.__file__).resolve().parents[1] != Path(args.child).resolve():
+            raise SystemExit(f"imported {mvcrop.__file__}, not {args.child}")
+        run_matrix(args.smoke)
+        return 0
+    if not args.against:
+        parser.error("--against is required")
+    if not all(1 <= n <= 64 for n in args.threads):
+        parser.error("thread counts must lie in [1, 64]")
+    commit = _git("rev-parse", "--verify", f"{args.against}^{{commit}}")
+    report = {"against": args.against, "commit": commit, "smoke": args.smoke,
+              "expect_diff": args.expect_diff, "threads": {}}
+    with tempfile.TemporaryDirectory(prefix="mvcrop-identity-") as tmp:
+        checkout = Path(tmp, "rev")
+        _git("worktree", "add", "--detach", "--quiet", str(checkout), commit)
+        try:
+            for n in args.threads:
+                rev = _outputs(checkout / "src", Path(tmp, f"rev-{n}"), n,
+                               args.smoke)
+                tree = _outputs(ROOT / "src", Path(tmp, f"tree-{n}"), n,
+                                args.smoke)
+                report["threads"][str(n)] = {
+                    "files": len(set(rev) | set(tree)),
+                    "failed_runs": sorted({name.split("/")[0]
+                                           for name in set(rev) | set(tree)
+                                           if name.endswith("/error.txt")}),
+                    "differences": compare(rev, tree, args.expect_diff)}
+        finally:
+            _git("worktree", "remove", "--force", str(checkout))
+    unexpected = [d for entry in report["threads"].values()
+                  for d in entry["differences"] if not d["expected"]]
+    report["ok"] = not unexpected
+    print(json.dumps(report, indent=2))
+    return 0 if report["ok"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
