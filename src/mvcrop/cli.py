@@ -27,7 +27,7 @@ from .data import (
     synth_generate,
     with_ndvi,
 )
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, check_structure
 from .experiments import (
     ExperimentConfig,
     inspect_parameters,
@@ -127,43 +127,40 @@ def _cmd_synth(args) -> int:
 
 
 def _schema_from_manifest(name: str, spec) -> ViewSchema:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"schema for view {name!r} must be a mapping")
-    if spec.get("canonical"):
+    where = f"import manifest.schemas.{name}"
+    check_structure(spec, {}, where)
+    spec = {"canonical": False, "temporal": True, **spec}
+    check_structure(spec, {"canonical": bool, "temporal": bool}, where)
+    if spec["canonical"]:
         return canonical_schema(name)
-    temporal = bool(spec.get("temporal", True))
-    if "channels" not in spec:
-        raise ConfigError(f"schema for view {name!r} needs 'channels'")
-    channels = int(spec["channels"])
-    if temporal:
-        if "steps" not in spec:
-            raise ConfigError(
-                f"temporal schema for view {name!r} needs 'steps'")
-        return ViewSchema(name, True, channels, int(spec["steps"]))
-    return ViewSchema(name, False, channels)
+    if not spec["temporal"]:
+        check_structure(spec, {"channels": int}, where)
+        return ViewSchema(name, False, spec["channels"])
+    check_structure(spec, {"channels": int, "steps": int}, where)
+    return ViewSchema(name, True, spec["channels"], spec["steps"])
 
 
 def _cmd_import(args) -> int:
     manifest_path = Path(args.manifest)
     payload = _load_json(manifest_path)
-    if not isinstance(payload, dict):
-        raise ConfigError("import manifest must be a JSON object")
-    for key in ("labels", "views", "schemas"):
-        if key not in payload:
-            raise ConfigError(f"import manifest needs {key!r}")
+    check_structure(payload, {}, "import manifest")
+    payload = {"task": "binary", "classes": 2, "ndvi": False, **payload}
+    check_structure(payload, {"labels": str, "views": {}, "schemas": {},
+                              "task": str, "classes": int, "ndvi": bool},
+                    "import manifest")
     base = manifest_path.parent
     views = payload["views"]
     schemas = []
     view_files = {}
-    for name in views:
+    for name, path in views.items():
         if name not in payload["schemas"]:
             raise ConfigError(f"no schema declared for view {name!r}")
+        check_structure(path, str, f"import manifest.views.{name}")
         schemas.append(_schema_from_manifest(name, payload["schemas"][name]))
-        view_files[name] = base / views[name]
+        view_files[name] = base / path
     dataset = import_csv(view_files, base / payload["labels"], schemas,
-                         task=payload.get("task", "binary"),
-                         classes=int(payload.get("classes", 2)))
-    if payload.get("ndvi"):
+                         task=payload["task"], classes=payload["classes"])
+    if payload["ndvi"]:
         dataset = with_ndvi(dataset)
     save_dataset(dataset, args.out)
     print(f"imported {len(dataset)} samples "

@@ -39,9 +39,6 @@ __all__ = [
 
 _TASK_CLASSES = {"binary": 2, "multicrop": 10}
 
-METADATA_STRING_KEYS = ("country", "continent")
-METADATA_NUMERIC_KEYS = ("year", "latitude", "longitude", "is_test")
-
 
 # ---------------------------------------------------------------------------
 # containers

@@ -162,7 +162,7 @@ class LSTMCell(_RecurrentCell):
     GATES = 4
 
     def outputs(self, xs: Tensor) -> Tensor:
-        return lstm_sequence(xs, self.w_in, self.w_hid, self.b_in, self.b_hid)[0]
+        return lstm_sequence(xs, self.w_in, self.w_hid, self.b_in, self.b_hid)
 
 
 class _RecurrentEncoder(Encoder):

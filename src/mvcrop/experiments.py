@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
@@ -151,6 +151,21 @@ def search_cells(winner: str) -> tuple[CellSpec, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _build(cls, options: dict, what: str, **fixed):
+    """``cls(**fixed, **options)``. A name in ``options`` that is not a
+    field of ``cls``, or is one of ``fixed``, is reported as an unknown
+    ``what`` by name; a value of the wrong type (a ``TypeError`` while
+    building) as a bad value. Both raise ConfigError."""
+    names = {f.name for f in fields(cls)} - set(fixed)
+    unknown = [key for key in options if key not in names]
+    if unknown:
+        raise ConfigError(f"unknown {what}: {', '.join(map(repr, unknown))}")
+    try:
+        return cls(**fixed, **options)
+    except TypeError as exc:
+        raise ConfigError(f"wrong value type among the {what}s: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs; JSON round-trippable via to/from_dict."""
@@ -219,11 +234,8 @@ class ExperimentConfig:
         self._encoder_config(self.encoder)
 
     def _encoder_config(self, architecture: str) -> EncoderConfig:
-        try:
-            return EncoderConfig(architecture=architecture,
-                                 **self.encoder_options)
-        except TypeError as exc:
-            raise ConfigError(f"unknown encoder option: {exc}") from None
+        return _build(EncoderConfig, self.encoder_options, "encoder option",
+                      architecture=architecture)
 
     def to_dict(self) -> dict:
         """Every field, ``train`` as a nested mapping; JSON writes the
@@ -239,14 +251,8 @@ class ExperimentConfig:
         if train_data is not None:
             if not isinstance(train_data, dict):
                 raise ConfigError("train must be a mapping")
-            try:
-                payload["train"] = TrainConfig(**train_data)
-            except TypeError as exc:
-                raise ConfigError(f"unknown train option: {exc}") from None
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise ConfigError(f"unknown config key: {exc}") from None
+            payload["train"] = _build(TrainConfig, train_data, "train option")
+        return _build(cls, payload, "config key")
 
     def fingerprint(self, dataset_hash: str = "", unread: tuple = ()) -> str:
         """Stable hash of the canonicalized config.

@@ -1,8 +1,8 @@
 """Float64 tensors with taped reverse-mode differentiation.
 
 Execution is eager. While a ``Tape`` is active, every differentiable operation
-appends one record (inputs, output, backward rule); because records are
-appended in execution order they are already topologically sorted, so
+appends one record (inputs, its one output, backward rule); because records
+are appended in execution order they are already topologically sorted, so
 ``backward`` performs a single reverse sweep and accumulates gradients
 additively into shared inputs. A tape is swept once: the sweep drops each
 non-leaf gradient as soon as its record has consumed it and empties the tape
@@ -54,12 +54,11 @@ class Tape:
 
 @dataclass
 class _Record:
-    """One taped op. A multi-output op stores a tuple of outputs, and its
-    backward rule receives a tuple of gradients with ``None`` for outputs
-    that received none."""
+    """One taped op: its inputs, its one output tensor, and the rule that
+    maps the output's gradient to one gradient (or ``None``) per input."""
 
     inputs: tuple["Tensor", ...]
-    output: "Tensor | tuple[Tensor, ...]"
+    output: "Tensor"
     backward: Callable
 
 
@@ -135,11 +134,10 @@ def _make(data) -> Tensor:
     return out
 
 
-def _record(inputs: tuple[Tensor, ...], output, backward) -> None:
-    """Mark ``output`` (a tensor or a tuple of them) as needing a gradient
-    and append its record to the active tape."""
-    for out in output if type(output) is tuple else (output,):
-        out.requires_grad = True
+def _record(inputs: tuple[Tensor, ...], output: Tensor, backward) -> None:
+    """Mark ``output`` as needing a gradient and append its record to the
+    active tape."""
+    output.requires_grad = True
     _TAPES.stack[-1].records.append(_Record(inputs, output, backward))
 
 
@@ -313,9 +311,9 @@ def _accumulate(total: Array | None, term: Array) -> Array:
     return term if total is None else total + term
 
 
-def _recurrent_operands(x, w_in, w_hid, b_in, b_hid, state, gates: int):
+def _recurrent_operands(x, w_in, w_hid, b_in, b_hid, gates: int):
     """Validate a recurrent op's operands; return them as tensors plus
-    ``(batch, steps, hidden)``. ``state`` holds optional initial tensors."""
+    ``(batch, steps, hidden)``."""
     x, w_in, w_hid = as_tensor(x), as_tensor(w_in), as_tensor(w_hid)
     b_in, b_hid = as_tensor(b_in), as_tensor(b_hid)
     if x.data.ndim != 3:
@@ -330,11 +328,7 @@ def _recurrent_operands(x, w_in, w_hid, b_in, b_hid, state, gates: int):
         raise ShapeError(
             f"recurrent weights {w_in.shape}, {w_hid.shape}, {b_in.shape}, "
             f"{b_hid.shape} do not fit {gates} gates over input width {width}")
-    state = tuple([None if s is None else as_tensor(s) for s in state])
-    for s in state:
-        if s is not None and s.data.shape != (batch, hidden):
-            raise ShapeError(f"initial state must be [{batch}, {hidden}], got {s.shape}")
-    return (x, w_in, w_hid, b_in, b_hid), state, (batch, steps, hidden)
+    return (x, w_in, w_hid, b_in, b_hid), (batch, steps, hidden)
 
 
 def _input_projection(x: Array, w_in: Array, b_in: Array) -> tuple[Array, Array]:
@@ -352,8 +346,9 @@ def _input_projection(x: Array, w_in: Array, b_in: Array) -> tuple[Array, Array]
     return xs, gi
 
 
-def gru_sequence(x, w_in, w_hid, b_in, b_hid, h0=None) -> Tensor:
-    """GRU recurrence over ``x [B, T, D]`` as one record; returns ``[B, T, H]``.
+def gru_sequence(x, w_in, w_hid, b_in, b_hid) -> Tensor:
+    """GRU recurrence over ``x [B, T, D]`` from a zero state as one record;
+    returns the hidden states ``[B, T, H]``.
 
     Gate blocks are ordered (z, r, n), each with an input-side and a
     hidden-side bias: with ``gi = x_t @ w_in + b_in`` and
@@ -363,24 +358,22 @@ def gru_sequence(x, w_in, w_hid, b_in, b_hid, h0=None) -> Tensor:
     batched matmul outside the time loop, and ``backward`` runs backpropagation
     through time by hand, accumulating weight gradients from the last step
     to the first. Each gate is evaluated only on its own block, and a step
-    saves only the arrays that ``backward`` reads. ``h0`` defaults to zeros.
+    saves only the arrays that ``backward`` reads.
 
     The states live in one time-major buffer ``[T+1, B, H]`` (row 0 the
-    initial state), written in place step by step; the output is its
+    zero state), written in place step by step; the output is its
     transposed view ``[B, T, H]``, and ``backward`` reads each previous state
     from the same buffer, so every state is held once.
     """
-    inputs, (h0,), (batch, steps, hidden) = _recurrent_operands(
-        x, w_in, w_hid, b_in, b_hid, (h0,), gates=3)
+    inputs, (batch, steps, hidden) = _recurrent_operands(
+        x, w_in, w_hid, b_in, b_hid, gates=3)
     x, w_in, w_hid, b_in, b_hid = inputs
-    if h0 is not None:
-        inputs += (h0,)
     taping = _recording(*inputs)
     two = 2 * hidden
     xs, gi = _input_projection(x.data, w_in.data, b_in.data)
     wh, bh = w_hid.data, b_hid.data
     hst = np.empty((steps + 1, batch, hidden))
-    hst[0] = 0.0 if h0 is None else h0.data
+    hst[0] = 0.0
     saved = []
     for t in range(steps):
         h = hst[t]
@@ -424,42 +417,39 @@ def gru_sequence(x, w_in, w_hid, b_in, b_hid, h0=None) -> Tensor:
             db_in = _accumulate(db_in, dgi.sum(axis=0))
             if dxs is not None:
                 dxs[t] = dgi @ w_in.data.T
-        grads = [None if dxs is None else dxs.transpose(1, 0, 2),
-                 dw_in, dw_hid, db_in, db_hid]
-        if h0 is not None:
-            grads.append(via_z + via_w)
-        return grads
+        return (None if dxs is None else dxs.transpose(1, 0, 2),
+                dw_in, dw_hid, db_in, db_hid)
 
     _record(inputs, out, backward)
     return out
 
 
-def lstm_sequence(x, w_in, w_hid, b_in, b_hid, h0=None, c0=None) -> tuple[Tensor, Tensor]:
-    """LSTM recurrence over ``x [B, T, D]`` as one record.
+def lstm_sequence(x, w_in, w_hid, b_in, b_hid) -> Tensor:
+    """LSTM recurrence over ``x [B, T, D]`` from a zero state as one record;
+    returns the hidden states ``[B, T, H]``.
 
     Gate blocks are ordered (i, f, g, o): with ``s = x_t @ w_in + b_in +
     h @ w_hid + b_hid``, ``i, f, o = sigmoid(s)``, ``g = tanh(s_g)``,
-    ``c = f * c + i * g`` and ``h = o * tanh(c)``. Returns the hidden states
-    ``[B, T, H]`` and the final cell state ``[B, H]``. As in
+    ``c = f * c + i * g`` and ``h = o * tanh(c)``. The cell states are
+    internal: they reach the output only through ``h``. As in
     ``gru_sequence``, the input projection is one batched matmul, each gate is
     evaluated only on its own blocks, the hidden states live in one
     time-major buffer whose transposed view is the output, and ``backward``
     is hand-written backpropagation through time. A step keeps its cell
     state ``c_t``, which is also the next step's ``c_{t-1}``; ``backward``
     recomputes ``tanh(c_t)`` from it instead of keeping a copy, with the same
-    bits. ``h0``/``c0`` default to zeros.
+    bits.
     """
-    inputs, (h0, c0), (batch, steps, hidden) = _recurrent_operands(
-        x, w_in, w_hid, b_in, b_hid, (h0, c0), gates=4)
+    inputs, (batch, steps, hidden) = _recurrent_operands(
+        x, w_in, w_hid, b_in, b_hid, gates=4)
     x, w_in, w_hid, b_in, b_hid = inputs
-    inputs += tuple(s for s in (h0, c0) if s is not None)
     taping = _recording(*inputs)
     two, three = 2 * hidden, 3 * hidden
     xs, gi = _input_projection(x.data, w_in.data, b_in.data)
     wh, bh = w_hid.data, b_hid.data
     hst = np.empty((steps + 1, batch, hidden))
-    hst[0] = 0.0 if h0 is None else h0.data
-    c = np.zeros((batch, hidden)) if c0 is None else c0.data
+    hst[0] = 0.0
+    c = np.zeros((batch, hidden))
     cells = [c]  # c_0 ... c_T, kept while taping
     saved = []
     for t in range(steps):
@@ -473,24 +463,20 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid, h0=None, c0=None) -> tuple[Tensor
         if taping:
             saved.append((ifo, cand))
             cells.append(c)
-    out = (_make(hst[1:].transpose(1, 0, 2)), _make(c))
+    out = _make(hst[1:].transpose(1, 0, 2))
     if not taping:
         return out
 
-    def backward(grads):
-        g_hs, g_c = grads
+    def backward(g: Array):
         dxs = np.empty(xs.shape) if x.requires_grad else None
         dw_in = dw_hid = db = None
-        via_h, via_c = None, g_c  # gradients reaching h_{t-1} and c_{t-1}
+        via_h = via_c = None  # gradients reaching h_{t-1} and c_{t-1}
         for t in range(steps - 1, -1, -1):
             ifo, cand = saved[t]
             h_prev, c_prev = hst[t], cells[t]
             tc = np.tanh(cells[t + 1])
             i, f, o = ifo[:, :hidden], ifo[:, hidden:two], ifo[:, two:]
-            if g_hs is None:
-                dh = np.zeros((batch, hidden)) if via_h is None else via_h
-            else:
-                dh = g_hs[:, t] if via_h is None else g_hs[:, t] + via_h
+            dh = g[:, t] if via_h is None else g[:, t] + via_h
             dc = dh * o * (1.0 - tc * tc)
             if via_c is not None:
                 dc = via_c + dc
@@ -505,13 +491,8 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid, h0=None, c0=None) -> tuple[Tensor
             dw_in = _accumulate(dw_in, xs[t].T @ ds)
             if dxs is not None:
                 dxs[t] = ds @ w_in.data.T
-        result = [None if dxs is None else dxs.transpose(1, 0, 2),
-                  dw_in, dw_hid, db, db.copy()]
-        if h0 is not None:
-            result.append(via_h)
-        if c0 is not None:
-            result.append(via_c)
-        return result
+        return (None if dxs is None else dxs.transpose(1, 0, 2),
+                dw_in, dw_hid, db, db.copy())
 
     _record(inputs, out, backward)
     return out
@@ -626,25 +607,31 @@ def safe_log(x, floor: float = 1e-12) -> Tensor:
 _NLL_FLOOR = 1e-12
 
 
-def weighted_nll(probabilities, labels: Array, weights: Array) -> Tensor:
-    """Mean over rows of ``weights[y] * -log(max(p[row, y], 1e-12))``.
+def weighted_nll_sum(p: Array, labels: Array, weights: Array) -> float:
+    """``-sum over rows of weights[y] * log(max(p[row, y], 1e-12))`` on
+    plain arrays: the summed loss of ``weighted_nll``.
 
-    ``probabilities`` is ``[B, K]``; ``labels`` are integer class indices in
-    ``[0, K)`` and ``weights`` is ``[K]``, both validated by the caller. The
-    label column is gathered directly, and the gradient reaches only the
-    gathered entries.
+    ``p`` is ``[B, K]``; ``labels`` are integer class indices in ``[0, K)``
+    and ``weights`` is ``[K]``, both validated by the caller. The label
+    column is gathered directly.
     """
+    picked = p[np.arange(p.shape[0]), labels]
+    return -np.add.reduce(np.log(np.maximum(picked, _NLL_FLOOR)) * weights[labels])
+
+
+def weighted_nll(probabilities, labels: Array, weights: Array) -> Tensor:
+    """``weighted_nll_sum`` divided by the batch size, as one record; the
+    gradient reaches only the gathered label entries."""
     p = as_tensor(probabilities)
-    rows = np.arange(p.data.shape[0])
-    batch = float(rows.size)
-    picked = p.data[rows, labels]
-    clamped = np.maximum(picked, _NLL_FLOOR)
-    w = weights[labels]
-    out = _make(-np.add.reduce(np.log(clamped) * w) / batch)
+    batch = float(p.data.shape[0])
+    out = _make(weighted_nll_sum(p.data, labels, weights) / batch)
     if _recording(p):
         def backward(g: Array):
+            rows = np.arange(p.data.shape[0])
+            picked = p.data[rows, labels]
             gp = np.zeros(p.data.shape)
-            gp[rows, labels] = -(g / batch * w) * (picked > _NLL_FLOOR) / clamped
+            gp[rows, labels] = (-(g / batch * weights[labels]) * (picked > _NLL_FLOOR)
+                                / np.maximum(picked, _NLL_FLOOR))
             return (gp,)
 
         _record((p,), out, backward)
@@ -792,11 +779,40 @@ def reduce_max(x, axis=None, keepdims: bool = False) -> Tensor:
 # normalisation and dropout
 # ---------------------------------------------------------------------------
 
+def _normalise(x: Tensor, scale: Tensor, shift: Tensor, eps: float, axis,
+               keepdims: bool, count: float, param_axes):
+    """``scale * (x - mean) / sqrt(var + eps) + shift`` with the statistics
+    taken over ``axis`` (``count`` entries each): the shared forward and
+    backward of ``batch_norm_train`` and ``layer_norm``. Biased variance,
+    epsilon inside the square root. ``keepdims`` keeps the reduced axes in
+    the returned statistics, and ``param_axes`` are the axes that the scale
+    and shift gradients sum over. Returns ``(out, mean, var)``.
+    """
+    xd = x.data
+    # ndarray.mean/var arithmetic without their Python wrappers
+    mean = np.add.reduce(xd, axis=axis, keepdims=keepdims) / count
+    centred = xd - mean
+    var = np.add.reduce(centred * centred, axis=axis, keepdims=keepdims) / count
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = centred * ivar
+    out = _make(scale.data * xhat + shift.data)
+    if _recording(x, scale, shift):
+        def backward(g: Array):
+            dxhat = g * scale.data
+            m1 = np.add.reduce(dxhat, axis=axis, keepdims=True) / count
+            m2 = np.add.reduce(dxhat * xhat, axis=axis, keepdims=True) / count
+            dx = ivar * (dxhat - m1 - xhat * m2)
+            return (dx, (g * xhat).sum(axis=param_axes), g.sum(axis=param_axes))
+
+        _record((x, scale, shift), out, backward)
+    return out, mean, var
+
+
 def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     """Normalise over all axes but the last using batch statistics.
 
-    Returns ``(out, batch_mean, batch_var)``. Biased variance, epsilon inside
-    the square root. The caller owns the running buffers.
+    Returns ``(out, batch_mean, batch_var)``, the statistics ``[C]``. The
+    caller owns the running buffers.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     xd = x.data
@@ -807,24 +823,8 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     # numpy handles an int axis and a float divisor faster than a tuple and
     # an int; the arithmetic is the same
     axes = 0 if xd.ndim == 2 else tuple(range(xd.ndim - 1))
-    count = float(xd.size // xd.shape[-1])
-    # ndarray.mean/var arithmetic without their Python wrappers
-    mean = np.add.reduce(xd, axis=axes) / count
-    centred = xd - mean
-    var = np.add.reduce(centred * centred, axis=axes) / count
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat = centred * ivar
-    out = _make(gamma.data * xhat + beta.data)
-    if _recording(x, gamma, beta):
-        def backward(g: Array):
-            dxhat = g * gamma.data
-            m1 = np.add.reduce(dxhat, axis=axes, keepdims=True) / count
-            m2 = np.add.reduce(dxhat * xhat, axis=axes, keepdims=True) / count
-            dx = ivar * (dxhat - m1 - xhat * m2)
-            return (dx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
-
-        _record((x, gamma, beta), out, backward)
-    return out, mean, var
+    return _normalise(x, gamma, beta, eps, axes, False,
+                      float(xd.size // xd.shape[-1]), axes)
 
 
 def batch_norm_infer(
@@ -847,24 +847,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if x.shape[-1] != gain.shape[-1]:
         raise ShapeError(f"layer norm width mismatch: {x.shape} vs gain {gain.shape}")
-    width = float(x.shape[-1])
-    centred = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / width
-    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / width
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat = centred * ivar
-    out = _make(gain.data * xhat + bias.data)
-    if _recording(x, gain, bias):
-        axes = tuple(range(x.ndim - 1))
-
-        def backward(g: Array):
-            dxhat = g * gain.data
-            m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / width
-            m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / width
-            dx = ivar * (dxhat - m1 - xhat * m2)
-            return (dx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
-
-        _record((x, gain, bias), out, backward)
-    return out
+    return _normalise(x, gain, bias, eps, -1, True, float(x.shape[-1]),
+                      tuple(range(x.ndim - 1)))[0]
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, mode: str) -> Tensor:
@@ -892,7 +876,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, mode: str) 
 def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse sweep over the tape, accumulating into ``.grad`` slots.
 
-    A tape is swept once. Every consumer of a record's output comes later
+    A record whose one output received no gradient is skipped. A tape is
+    swept once. Every consumer of a record's output comes later
     on the tape, so once the record's rule has run its output gradient is
     complete and is dropped (``.grad = None``); leaves keep theirs. When
     the sweep ends the tape is emptied, which releases each record's saved
@@ -906,17 +891,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
         loss.grad = np.ones_like(loss.data)
         for rec in reversed(tape.records):
             out = rec.output
-            if type(out) is tuple:
-                g = tuple(o.grad for o in out)
-                if all(gi is None for gi in g):
-                    continue
-                for o in out:
-                    o.grad = None
-            else:
-                g = out.grad
-                if g is None:
-                    continue
-                out.grad = None
+            g = out.grad
+            if g is None:
+                continue
+            out.grad = None
             grads = rec.backward(g)
             for t, gi in zip(rec.inputs, grads):
                 if gi is None or not t.requires_grad:

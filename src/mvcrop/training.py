@@ -16,7 +16,7 @@ from .data import Dataset
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .fusion import EnsembleModel, multi_loss
 from .rngutil import member_seed, named_stream
-from .tensor import _NLL_FLOOR, Parameter, Tape, Tensor, backward, weighted_nll
+from .tensor import Parameter, Tape, Tensor, backward, weighted_nll, weighted_nll_sum
 
 __all__ = [
     "Adam",
@@ -236,9 +236,7 @@ def _dataset_loss(model, dataset: Dataset, weights, batch_size: int) -> float:
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
         probs = model.forward(dataset.batch(idx)).probabilities.data
-        y = dataset.labels[idx]
-        picked = np.maximum(probs[np.arange(idx.size), y], _NLL_FLOOR)
-        total += float(np.sum(w[y] * -np.log(picked)))
+        total += float(weighted_nll_sum(probs, dataset.labels[idx], w))
     return total / n
 
 

@@ -63,8 +63,6 @@ CANONICAL_VIEWS: dict[str, ViewSchema] = {
     for name, (temporal, channels, steps) in _CANONICAL.items()
 }
 
-CANONICAL_ORDER: tuple[str, ...] = tuple(_CANONICAL)
-
 
 def canonical_schema(name: str) -> ViewSchema:
     """Return the registered schema for one of the five canonical views."""

@@ -185,7 +185,7 @@ class TestImport:
         (directory / "b.csv").write_text("\n".join(b_lines) + "\n")
         (directory / "labels.csv").write_text("\n".join(label_lines) + "\n")
 
-    def make_manifest(self, directory):
+    def make_manifest(self, directory, edit=lambda manifest: None):
         manifest = {
             "task": "binary",
             "classes": 2,
@@ -196,6 +196,7 @@ class TestImport:
                 "b": {"temporal": False, "channels": 2},
             },
         }
+        edit(manifest)
         path = directory / "manifest.json"
         path.write_text(json.dumps(manifest))
         return path
@@ -221,6 +222,27 @@ class TestImport:
                                str(tmp_path / "x.mvds"))
         assert code == 1
         assert err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(classes="x"), "import manifest.classes"),
+        (lambda m: m.update(views=["a", "b"]), "import manifest.views"),
+        (lambda m: m["schemas"]["a"].update(channels=[2]),
+         "import manifest.schemas.a.channels"),
+        (lambda m: m["views"].update(a=5), "import manifest.views.a"),
+        (lambda m: m.update(labels=5), "import manifest.labels"),
+        (lambda m: m["schemas"]["b"].update(temporal="false"),
+         "import manifest.schemas.b.temporal"),
+    ], ids=["classes-str", "views-list", "channels-list", "view-path-int",
+            "labels-int", "temporal-str"])
+    def test_malformed_manifest_exits_1_naming_the_field(
+            self, capsys, tmp_path, edit, message):
+        self.make_csvs(tmp_path)
+        manifest = self.make_manifest(tmp_path, edit)
+        code, _, err = run_cli(capsys, "import", "--manifest", str(manifest),
+                               "--out", str(tmp_path / "x.mvds"))
+        assert code == 1
+        assert message in err and "runtime error" not in err
+        assert not (tmp_path / "x.mvds").exists()
 
     def test_bad_manifest_json_is_validation_error(self, capsys, tmp_path):
         manifest = tmp_path / "manifest.json"
@@ -306,6 +328,36 @@ class TestTrain:
         assert code == 1
         assert merge in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("override", [
+        {"views": 5},
+        {"train": {"batch_size": "x"}},
+        {"gamma": "x"},
+        {"repetitions": "2"},
+        {"encoder_options": [1]},
+    ], ids=["views-int", "batch-size-str", "gamma-str", "repetitions-str",
+            "encoder-options-list"])
+    def test_wrong_value_type_is_reported_as_a_value(
+            self, capsys, data_path, tmp_path, override):
+        config = write_config(tmp_path / "config.json", data_path,
+                              tmp_path / "run", **override)
+        code, _, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 1
+        assert "wrong value type" in err and "unknown" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ({"learning_rate": 0.1}, "unknown config key: 'learning_rate'"),
+        ({"train": {"momentum": 0.9}}, "unknown train option: 'momentum'"),
+        ({"encoder_options": {"width": 8}}, "unknown encoder option: 'width'"),
+    ], ids=["config-key", "train-option", "encoder-option"])
+    def test_unknown_name_is_reported_by_name(self, capsys, data_path,
+                                              tmp_path, override, message):
+        config = write_config(tmp_path / "config.json", data_path,
+                              tmp_path / "run", **override)
+        code, _, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 1
+        assert message in err
 
     def test_empty_dataset_path_is_validation_error(self, capsys, tmp_path):
         config = write_config(tmp_path / "config.json", "", tmp_path / "run")

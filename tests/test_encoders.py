@@ -254,32 +254,38 @@ class TestGRU:
 
 
 class TestLSTM:
-    def test_scalar_step_hand_values(self):
+    """The cell state is internal to ``lstm_sequence``; it is checked
+    through ``h = o * tanh(c)``."""
+
+    def _unit_cell(self) -> LSTMCell:
         cell = LSTMCell(1, 1)
         cell.w_in.data[...] = 1.0
         cell.w_hid.data[...] = 1.0
-        hs, c = T.lstm_sequence(T.Tensor([[[1.0]]]), cell.w_in, cell.w_hid,
-                                cell.b_in, cell.b_hid)
+        return cell
+
+    def test_scalar_step_hand_values(self):
+        cell = self._unit_cell()
+        hs = T.lstm_sequence(T.Tensor([[[1.0]]]), cell.w_in, cell.w_hid,
+                             cell.b_in, cell.b_hid)
         c_expected = SIG1 * TANH1
         h_expected = SIG1 * np.tanh(c_expected)
-        assert abs(c.data[0, 0] - c_expected) < 1e-12
+        c = np.arctanh(hs.data[0, 0, 0] / SIG1)  # o = sigmoid(1)
+        assert abs(c - c_expected) < 1e-12
         assert abs(hs.data[0, 0, 0] - h_expected) < 1e-12
-        assert abs(c.data[0, 0] - 0.5569) < 2.5e-4
+        assert abs(c - 0.5569) < 2.5e-4
         assert abs(hs.data[0, 0, 0] - 0.3695) < 2.5e-4
         assert np.array_equal(cell.outputs(T.Tensor([[[1.0]]])).data, hs.data)
 
     def test_two_step_recurrence(self):
-        cell = LSTMCell(1, 1)
-        cell.w_in.data[...] = 1.0
-        cell.w_hid.data[...] = 1.0
-        hs, c = T.lstm_sequence(T.Tensor([[[1.0], [1.0]]]), cell.w_in,
-                                cell.w_hid, cell.b_in, cell.b_hid)
+        cell = self._unit_cell()
+        hs = T.lstm_sequence(T.Tensor([[[1.0], [1.0]]]), cell.w_in,
+                             cell.w_hid, cell.b_in, cell.b_hid)
         c1 = SIG1 * TANH1
         h1 = SIG1 * np.tanh(c1)
         gate = 1.0 / (1.0 + np.exp(-(1.0 + h1)))
         c2 = gate * c1 + gate * np.tanh(1.0 + h1)
         assert abs(hs.data[0, 0, 0] - h1) < 1e-12
-        assert abs(c.data[0, 0] - c2) < 1e-12
+        assert abs(np.arctanh(hs.data[0, 1, 0] / gate) - c2) < 1e-12  # o = gate
         assert abs(hs.data[0, 1, 0] - gate * np.tanh(c2)) < 1e-12
 
     def test_zero_parameters_fixed_point(self):

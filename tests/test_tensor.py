@@ -94,7 +94,69 @@ class TestSoftmax:
         np.testing.assert_allclose(p, q, atol=1e-9)
 
 
+def _batch_norm_reference(x, gamma, beta, g, eps=1e-5):
+    """``batch_norm_train`` as a standalone formula: ``[out, mean, var]``
+    and the gradients of ``x``, ``gamma`` and ``beta`` for upstream ``g``."""
+    axes = 0 if x.ndim == 2 else tuple(range(x.ndim - 1))
+    count = float(x.size // x.shape[-1])
+    mean = np.add.reduce(x, axis=axes) / count
+    centred = x - mean
+    var = np.add.reduce(centred * centred, axis=axes) / count
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = centred * ivar
+    dxhat = g * gamma
+    m1 = np.add.reduce(dxhat, axis=axes, keepdims=True) / count
+    m2 = np.add.reduce(dxhat * xhat, axis=axes, keepdims=True) / count
+    return ([gamma * xhat + beta, mean, var],
+            [ivar * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=axes), g.sum(axis=axes)])
+
+
+def _layer_norm_reference(x, gain, bias, g, eps=1e-5):
+    """``layer_norm`` as a standalone formula: ``[out]`` and the gradients
+    of ``x``, ``gain`` and ``bias`` for upstream ``g``."""
+    width = float(x.shape[-1])
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / width
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / width
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = centred * ivar
+    axes = tuple(range(x.ndim - 1))
+    dxhat = g * gain
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / width
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / width
+    return ([gain * xhat + bias],
+            [ivar * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=axes), g.sum(axis=axes)])
+
+
 class TestNormalisation:
+    @pytest.mark.parametrize("layout", ["c_order", "channel_outermost"])
+    @pytest.mark.parametrize("shape", [(4, 3), (57, 64), (57, 256), (3, 5, 7),
+                                       (128, 12, 64), (2, 12, 256)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("op, reference", [
+        (T.batch_norm_train, _batch_norm_reference),
+        (lambda *a: (T.layer_norm(*a),), _layer_norm_reference),
+    ], ids=["batch_norm", "layer_norm"])
+    def test_bit_identical_to_reference(self, op, reference, shape, layout):
+        """Outputs, batch statistics and all three gradients equal the op's
+        standalone formula bit for bit, signs of zeros included, on C order
+        and on the channel-outermost strides that conv kernels return."""
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(shape) * 2.0 + 0.5
+        if layout == "channel_outermost":
+            x = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+        scale, shift = rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])
+        g = rng.standard_normal(shape)
+        leaves = [T.Tensor(a, requires_grad=True) for a in (x, scale, shift)]
+        with T.Tape() as tape:
+            outs = op(*leaves)
+            loss = T.reduce_sum(T.mul(outs[0], T.Tensor(g)))
+        T.backward(loss, tape)
+        want_outs, want_grads = reference(x, scale, shift, g)
+        got = [outs[0].data, *outs[1:]] + [t.grad for t in leaves]
+        assert len(got) == len(want_outs) + 3
+        for got_a, want_a in zip(got, want_outs + want_grads):
+            _assert_bit_identical(got_a, want_a)
+
     def test_batch_norm_train_frozen(self):
         x = T.Tensor([[1.0], [3.0]])
         out, mean, var = T.batch_norm_train(x, T.Tensor([1.0]), T.Tensor([0.0]))
@@ -375,10 +437,11 @@ class TestUntapedFastPath:
         assert skip.requires_grad is False and loss.requires_grad is True
 
 
-def _gru_steps(x, w_in, w_hid, b_in, b_hid, h):
-    """Step-by-step GRU graph of elementary ops: the reference for the
-    fused sequence op."""
+def _gru_steps(x, w_in, w_hid, b_in, b_hid):
+    """Step-by-step GRU graph of elementary ops from a zero state: the
+    reference for the fused sequence op."""
     hidden = w_hid.shape[0]
+    h = T.Tensor(np.zeros((x.shape[0], hidden)))
     hs = []
     for t in range(x.shape[1]):
         x_t = T.reshape(T.narrow(x, t, t + 1, axis=1), (x.shape[0], x.shape[2]))
@@ -394,8 +457,9 @@ def _gru_steps(x, w_in, w_hid, b_in, b_hid, h):
     return T.stack(hs, axis=1)
 
 
-def _lstm_steps(x, w_in, w_hid, b_in, b_hid, h, c):
+def _lstm_steps(x, w_in, w_hid, b_in, b_hid):
     hidden = w_hid.shape[0]
+    h = c = T.Tensor(np.zeros((x.shape[0], hidden)))
     hs = []
     for t in range(x.shape[1]):
         x_t = T.reshape(T.narrow(x, t, t + 1, axis=1), (x.shape[0], x.shape[2]))
@@ -408,7 +472,7 @@ def _lstm_steps(x, w_in, w_hid, b_in, b_hid, h, c):
         c = f * c + i * g
         h = o * T.tanh(c)
         hs.append(h)
-    return T.stack(hs, axis=1), c
+    return T.stack(hs, axis=1)
 
 
 def _recurrent_case(rng, gates, batch=3, steps=5, width=2, hidden=3):
@@ -418,58 +482,51 @@ def _recurrent_case(rng, gates, batch=3, steps=5, width=2, hidden=3):
         "w_hid": rng.standard_normal((hidden, gates * hidden)) * 0.7,
         "b_in": rng.standard_normal(gates * hidden) * 0.3,
         "b_hid": rng.standard_normal(gates * hidden) * 0.3,
-        "h0": rng.standard_normal((batch, hidden)) * 0.5,
-        "c0": rng.standard_normal((batch, hidden)) * 0.5,
         "w_out": rng.standard_normal((batch, steps, hidden)),
-        "w_c": rng.standard_normal((batch, hidden)),
     }
 
 
 _WEIGHTS = ("x", "w_in", "w_hid", "b_in", "b_hid")
 
 
-def _gru_loss(case, op, name, t):
-    args = {k: T.Tensor(case[k]) for k in _WEIGHTS + ("h0",)}
+def _sequence_loss(case, op, name, t):
+    """Every timestep's hidden state weighted into a scalar, with ``t`` as
+    the operand ``name``."""
+    args = {k: T.Tensor(case[k]) for k in _WEIGHTS}
     args[name] = t
-    hs = op(*(args[k] for k in _WEIGHTS), args["h0"])
+    hs = op(*(args[k] for k in _WEIGHTS))
     return T.reduce_sum(T.mul(hs, T.Tensor(case["w_out"])))
 
 
-def _lstm_loss(case, op, name, t):
-    args = {k: T.Tensor(case[k]) for k in _WEIGHTS + ("h0", "c0")}
-    args[name] = t
-    hs, c = op(*(args[k] for k in _WEIGHTS), args["h0"], args["c0"])
-    return T.add(T.reduce_sum(T.mul(hs, T.Tensor(case["w_out"]))),
-                 T.reduce_sum(T.mul(c, T.Tensor(case["w_c"]))))
-
-
 class TestRecurrentSequences:
-    """The fused recurrent ops against finite differences with the loss over
-    every timestep and a nonzero initial state, and against the elementary
-    step-by-step graph bit for bit."""
+    """The fused recurrent ops from their zero state against finite
+    differences with the loss over every timestep, and against the
+    elementary step-by-step graph bit for bit."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gru_grad_check_every_input(self, seed):
         case = _recurrent_case(np.random.default_rng(300 + seed), gates=3)
-        for name in _WEIGHTS + ("h0",):
-            res = T.grad_check(lambda t: _gru_loss(case, T.gru_sequence, name, t), case[name])
+        for name in _WEIGHTS:
+            res = T.grad_check(lambda t: _sequence_loss(case, T.gru_sequence, name, t),
+                               case[name])
             assert res.ok, (name, res.max_rel_err)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lstm_grad_check_every_input(self, seed):
         case = _recurrent_case(np.random.default_rng(400 + seed), gates=4)
-        for name in _WEIGHTS + ("h0", "c0"):
-            res = T.grad_check(lambda t: _lstm_loss(case, T.lstm_sequence, name, t), case[name])
+        for name in _WEIGHTS:
+            res = T.grad_check(lambda t: _sequence_loss(case, T.lstm_sequence, name, t),
+                               case[name])
             assert res.ok, (name, res.max_rel_err)
 
     @pytest.mark.parametrize("layout", ["c_order", "channel_outermost", "time_major"])
     @pytest.mark.parametrize("steps", [1, 12])
     @pytest.mark.parametrize("batch", [1, 57, 128])
-    @pytest.mark.parametrize("fused, reference, state", [
-        (T.gru_sequence, _gru_steps, ("h0",)),
-        (T.lstm_sequence, _lstm_steps, ("h0", "c0")),
-    ])
-    def test_bit_identical_to_step_graph(self, fused, reference, state, batch, steps, layout):
+    @pytest.mark.parametrize("fused, reference, gates", [
+        (T.gru_sequence, _gru_steps, 3),
+        (T.lstm_sequence, _lstm_steps, 4),
+    ], ids=["gru_sequence-_gru_steps-state0", "lstm_sequence-_lstm_steps-state1"])
+    def test_bit_identical_to_step_graph(self, fused, reference, gates, batch, steps, layout):
         """Outputs and every gradient equal the step graph's bit for bit,
         signs of zeros included, and the untaped output equals the taped
         one. One unit of the tanh block (GRU n, LSTM g) gets a pre-activation
@@ -477,7 +534,7 @@ class TestRecurrentSequences:
         exception raises, so an op that evaluated a gate on a block it does
         not read would fail."""
         hidden = 7
-        case = _recurrent_case(np.random.default_rng(9), gates=len(state) + 2,
+        case = _recurrent_case(np.random.default_rng(9), gates=gates,
                                batch=batch, steps=steps, hidden=hidden)
         case["b_in"][2 * hidden] = 800.0
         if layout == "channel_outermost":  # the strides conv kernels return
@@ -487,17 +544,13 @@ class TestRecurrentSequences:
         runs = []
         with np.errstate(all="raise"):
             for op in (fused, reference):
-                leaves = {k: T.Tensor(case[k], requires_grad=True) for k in _WEIGHTS + state}
+                leaves = {k: T.Tensor(case[k], requires_grad=True) for k in _WEIGHTS}
                 with T.Tape() as tape:
-                    out = op(*(leaves[k] for k in _WEIGHTS + state))
-                    hs, c = out if isinstance(out, tuple) else (out, None)
+                    hs = op(*(leaves[k] for k in _WEIGHTS))
                     value = T.reduce_sum(T.mul(hs, T.Tensor(case["w_out"])))
-                    if c is not None:
-                        value = T.add(value, T.reduce_sum(T.mul(c, T.Tensor(case["w_c"]))))
                 T.backward(value, tape)
-                runs.append([hs.data, value.data] + [leaves[k].grad for k in _WEIGHTS + state])
-            untaped = fused(*(case[k] for k in _WEIGHTS + state))
-        untaped = untaped[0] if isinstance(untaped, tuple) else untaped
+                runs.append([hs.data, value.data] + [leaves[k].grad for k in _WEIGHTS])
+            untaped = fused(*(case[k] for k in _WEIGHTS))
         assert np.array_equal(untaped.data, runs[0][0])
         for got, want in zip(*runs):
             assert got is not None and np.array_equal(got, want)
@@ -516,13 +569,9 @@ class TestRecurrentSequences:
             T.gru_sequence(case["x"][0], case["w_in"], case["w_hid"], case["b_in"], case["b_hid"])
         with pytest.raises(ShapeError):
             T.lstm_sequence(case["x"], case["w_in"], case["w_hid"], case["b_in"], case["b_hid"])
-        with pytest.raises(ShapeError):
-            T.gru_sequence(case["x"], case["w_in"], case["w_hid"], case["b_in"], case["b_hid"],
-                           h0=np.zeros((1, 3)))
         empty = case["x"][:, :0]  # no time steps: there is nothing to backpropagate
         with pytest.raises(ShapeError):
-            T.gru_sequence(empty, case["w_in"], case["w_hid"], case["b_in"], case["b_hid"],
-                           h0=case["h0"])
+            T.gru_sequence(empty, case["w_in"], case["w_hid"], case["b_in"], case["b_hid"])
         lstm = _recurrent_case(rng, gates=4)
         with pytest.raises(ShapeError):
             T.lstm_sequence(empty, lstm["w_in"], lstm["w_hid"], lstm["b_in"], lstm["b_hid"])
@@ -651,15 +700,9 @@ def _keeping_backward(loss, tape):
     and every record. The reference for ``backward``'s leaf gradients."""
     loss.grad = np.ones_like(loss.data)
     for rec in reversed(tape.records):
-        out = rec.output
-        if type(out) is tuple:
-            g = tuple(o.grad for o in out)
-            if all(gi is None for gi in g):
-                continue
-        else:
-            g = out.grad
-            if g is None:
-                continue
+        g = rec.output.grad
+        if g is None:
+            continue
         for t, gi in zip(rec.inputs, rec.backward(g)):
             if gi is None or not t.requires_grad:
                 continue
@@ -669,8 +712,7 @@ def _keeping_backward(loss, tape):
 
 def _outputs(tape):
     """Every tensor that a record of ``tape`` produced."""
-    return [o for rec in tape.records
-            for o in (rec.output if type(rec.output) is tuple else (rec.output,))]
+    return [rec.output for rec in tape.records]
 
 
 def _assert_bit_identical(got, want):
@@ -683,16 +725,17 @@ class TestBackwardReleases:
     and empties the tape when it ends; leaf gradients keep their bits."""
 
     def _sweep(self, sweep):
-        """A graph with a shared intermediate and a tuple-output op (LSTM)
-        whose outputs both reach the loss. Returns the leaves' gradients,
-        the intermediates and the tape after ``sweep``."""
+        """A graph with shared intermediates: the LSTM's hidden states reach
+        the loss directly and through ``tanh``, which is read twice. Returns
+        the leaves' gradients, the intermediates and the tape after
+        ``sweep``."""
         case = _recurrent_case(np.random.default_rng(4), gates=4)
         leaves = {k: T.Tensor(case[k], requires_grad=True) for k in _WEIGHTS}
         with T.Tape() as tape:
-            hs, c = T.lstm_sequence(*(leaves[k] for k in _WEIGHTS))
+            hs = T.lstm_sequence(*(leaves[k] for k in _WEIGHTS))
             shared = T.tanh(hs)
             loss = T.add(T.reduce_sum(T.mul(shared, shared)),
-                         T.reduce_sum(T.mul(c, T.Tensor(case["w_c"]))))
+                         T.reduce_sum(T.mul(hs, T.Tensor(case["w_out"]))))
         intermediates = _outputs(tape)
         sweep(loss, tape)
         return [leaves[k].grad for k in _WEIGHTS], intermediates, tape
@@ -704,7 +747,7 @@ class TestBackwardReleases:
     def test_intermediate_gradients_are_dropped_leaf_gradients_kept(self):
         got, intermediates, _ = self._sweep(T.backward)
         want, kept, _ = self._sweep(_keeping_backward)
-        assert len(intermediates) == 8  # 7 records, the LSTM one with two outputs
+        assert len(intermediates) == 7  # one output per record
         assert all(t.grad is None for t in intermediates)
         assert all(t.grad is not None for t in kept)  # the reference keeps them
         for g, w in zip(got, want):
@@ -761,8 +804,12 @@ def _assert_step_matches_keeping_sweep(module, loss_of):
         _assert_bit_identical(got[name], want[name])
 
 
-@pytest.mark.parametrize("arch", ["GRU", "LSTM", "TempCNN", "TAE", "LTAE"])
-def test_encoder_step_gradients_match_keeping_sweep(arch):
+_ENCODERS = ["GRU", "LSTM", "TempCNN", "TAE", "LTAE"]
+_MODELS = [("Hybrid", "gfusion"), ("Feature", "multiloss")]
+
+
+def _encoder_step(arch):
+    """A tiny encoder over the optical view and a loss of its embedding."""
     schema = canonical_schema("optical")
     encoder = build_encoder(schema, EncoderConfig(architecture=arch, **_TINY_WIDTHS))
     encoder.initialize(2)
@@ -774,14 +821,13 @@ def test_encoder_step_gradients_match_keeping_sweep(arch):
     def loss_of(module, rng):
         return T.reduce_sum(T.mul(module(x, rng), weights))
 
-    _assert_step_matches_keeping_sweep(encoder, loss_of)
+    return encoder, loss_of
 
 
-@pytest.mark.parametrize("strategy, component", [
-    ("Hybrid", "gfusion"), ("Feature", "multiloss")])
-def test_model_step_gradients_match_keeping_sweep(strategy, component):
+def _model_step(strategy, component, arch):
+    """A tiny three-view model and its training loss, multi-loss included."""
     views = [canonical_schema(n) for n in ("optical", "radar", "topography")]
-    model = build_model(views, strategy, EncoderConfig("GRU", **_TINY_WIDTHS),
+    model = build_model(views, strategy, EncoderConfig(arch, **_TINY_WIDTHS),
                         classes=3, component=component)
     model.initialize(2)
     data = np.random.default_rng(3)
@@ -798,4 +844,32 @@ def test_model_step_gradients_match_keeping_sweep(strategy, component):
                 for p in outputs.view_probabilities.values()], module.multiloss_gamma)
         return loss
 
-    _assert_step_matches_keeping_sweep(model, loss_of)
+    return model, loss_of
+
+
+@pytest.mark.parametrize("arch", _ENCODERS)
+def test_encoder_step_gradients_match_keeping_sweep(arch):
+    _assert_step_matches_keeping_sweep(*_encoder_step(arch))
+
+
+@pytest.mark.parametrize("strategy, component", _MODELS)
+def test_model_step_gradients_match_keeping_sweep(strategy, component):
+    _assert_step_matches_keeping_sweep(*_model_step(strategy, component, "GRU"))
+
+
+def _single_output_sweep(loss, tape):
+    """``backward``, after checking that every record has one plain
+    ``Tensor`` as its output."""
+    assert tape.records
+    assert all(type(rec.output) is T.Tensor for rec in tape.records)
+    T.backward(loss, tape)
+
+
+@pytest.mark.parametrize("step", [(_encoder_step, arch) for arch in _ENCODERS]
+                         + [(_model_step, *model, "LSTM") for model in _MODELS],
+                         ids=_ENCODERS + ["-".join(model) for model in _MODELS])
+def test_step_records_have_one_tensor_output(step):
+    """One taped training step of each encoder, and of two LSTM models, puts
+    exactly one output tensor on each record."""
+    build, *args = step
+    _taped_step(*build(*args), _single_output_sweep)

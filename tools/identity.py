@@ -12,9 +12,12 @@ fixed matrix with that tree's ``mvcrop``:
 - data: synthetic ``complementary``, 131 samples (odd trailing batches),
   plus the derived ``ndvi`` view and a 2-channel ``weather`` view;
 - training: batch 16, 3 epochs, patience 2, tiny widths, dropout 0.2;
-- protocols: ``run_grid`` at jobs 2, ``run_search`` and TAE
+- protocols: ``run_grid`` at jobs 1 and at jobs 2, ``run_search`` and TAE
   ``single_view_baselines``, one repetition each;
-- seven ``run_cell`` configs (``CELLS``), two repetitions each.
+- seven ``run_cell`` configs (``CELLS``), two repetitions each;
+- ``early-stop``: an LSTM Feature cell, two repetitions, trained up to 12
+  epochs at learning rate 5e-2 with patience 2, so that early stopping
+  fires and the validation loss decides which epoch's parameters are kept.
 
 ``--smoke`` runs only ``SMOKE_CELLS`` at one repetition. Every output file
 is hashed with sha256. ``timings.csv`` is skipped, and a manifest's
@@ -98,6 +101,12 @@ def run_matrix(smoke: bool) -> None:
         in CELLS.items() if not smoke or name in SMOKE_CELLS]
     if not smoke:
         runs += [("grid", run_grid, dict(repetitions=1, jobs=2)),
+                 ("grid-jobs1", run_grid, dict(repetitions=1, jobs=1)),
+                 ("early-stop", run_cell, dict(
+                     views=ALL_VIEWS, encoder="LSTM", strategy="Feature",
+                     component="none", merge="average", train=replace(
+                         config.train, max_epochs=12,
+                         learning_rate=5e-2))),
                  ("search", run_search, dict(repetitions=1)),
                  ("baselines", single_view_baselines,
                   dict(repetitions=1, encoder="TAE"))]
