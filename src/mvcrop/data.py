@@ -746,6 +746,8 @@ def stratified_split(dataset: Dataset, test_fraction: float, seed: int):
 
     quotas = {k: test_fraction * c for k, c in counts.items()}
     take = {k: int(np.floor(q)) for k, q in quotas.items()}
+    # never negative: the floors sum to at most floor(f·n), and each is
+    # below its class count, so to at most n - 1
     remaining = total_test - sum(take.values())
     order = sorted(
         counts,
@@ -758,12 +760,6 @@ def stratified_split(dataset: Dataset, test_fraction: float, seed: int):
             take[k] += 1
             remaining -= 1
         i += 1
-    while remaining < 0:
-        k = order[(i - 1) % len(order)]
-        if take[k] > 0:
-            take[k] -= 1
-            remaining += 1
-        i -= 1
 
     # keep every class represented on both sides when counts allow
     for k in sorted(counts):

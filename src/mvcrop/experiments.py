@@ -7,11 +7,13 @@ of which reuses a phase-1 result = 16 cells, 15 trainings per repetition),
 and per-view single-model baselines. Each protocol is an ordered tuple of
 phases, and one engine (``_run_protocol``) runs any of them.
 
-A run record is one CSV row per (cell, repetition): identity columns, seed,
-config fingerprint, status, and the metrics report. Wall-clock seconds live in
-a parallel timing table (``reports/timings.csv``) so ``records.csv`` is byte
-reproducible for identical (config, seed base) inputs. Every run directory
-holds ``manifest``, ``records.csv``, ``checkpoints/`` and ``reports/``.
+A run record is one row per (cell, repetition): identity columns, seed,
+config fingerprint, status, the metrics report and, in memory only, the
+repetition's train and infer seconds. ``records.csv`` writes only
+``RECORD_COLUMNS``, so it is byte reproducible for identical (config, seed
+base) inputs; the seconds go to the per-cell timing table
+(``reports/timings.csv``). Every run directory holds ``manifest``,
+``records.csv``, ``checkpoints/`` and ``reports/``.
 """
 from __future__ import annotations
 
@@ -60,29 +62,28 @@ SEARCH_CELL_COUNT = 16
 _SELECTION_METRICS = ("kappa", "average_accuracy", "f1_macro")
 _TASKS = ("binary", "multicrop")
 
-RECORD_COLUMNS = (
-    "cell", "phase", "view", "encoder", "strategy", "component", "merge",
-    "repetition", "seed", "fingerprint", "status", "error", "parameters",
-    "samples", "average_accuracy", "kappa", "f1_macro", "f1_positive",
-    "auc_roc", "max_probability", "prediction_entropy", "checkpoint",
-)
-
 _METRIC_FIELDS = (
     "average_accuracy", "kappa", "f1_macro", "f1_positive", "auc_roc",
     "max_probability", "prediction_entropy",
 )
 
+RECORD_COLUMNS = (
+    "cell", "phase", "view", "encoder", "strategy", "component", "merge",
+    "repetition", "seed", "fingerprint", "status", "error", "parameters",
+    "samples", *_METRIC_FIELDS, "checkpoint",
+)
+
 SUMMARY_COLUMNS = (
     "cell", "phase", "view", "encoder", "strategy", "component",
     "parameters", "reps_total", "reps_ok", "reps_failed",
-    "average_accuracy_mean", "average_accuracy_std",
-    "kappa_mean", "kappa_std",
-    "f1_macro_mean", "f1_macro_std",
-    "f1_positive_mean", "f1_positive_std",
-    "auc_roc_mean", "auc_roc_std",
-    "max_probability_mean", "max_probability_std",
-    "prediction_entropy_mean", "prediction_entropy_std",
+    *(f"{metric}_{stat}" for metric in _METRIC_FIELDS
+      for stat in ("mean", "std")),
 )
+
+_TIMING_COLUMNS = ("cell", "phase", "view", "repetitions",
+                   "train_seconds_mean", "infer_seconds_mean")
+
+_GROUP_COLUMNS = ("group", "samples", "average_accuracy", "kappa", "f1_macro")
 
 # records.csv columns that parse as numbers; an empty cell reads as None
 _NUMERIC_TYPES = {**dict.fromkeys(("repetition", "seed", "parameters",
@@ -155,15 +156,20 @@ def _build(cls, options: dict, what: str, **fixed):
     """``cls(**fixed, **options)``. A name in ``options`` that is not a
     field of ``cls``, or is one of ``fixed``, is reported as an unknown
     ``what`` by name; a value of the wrong type (a ``TypeError`` while
-    building) as a bad value. Both raise ConfigError."""
-    names = {f.name for f in fields(cls)} - set(fixed)
-    unknown = [key for key in options if key not in names]
+    building, or a field declared ``int`` that is not a non-negative
+    ``int``, bools excluded) as a bad value. Both raise ConfigError."""
+    types = {f.name: f.type for f in fields(cls) if f.name not in fixed}
+    unknown = [key for key in options if key not in types]
     if unknown:
         raise ConfigError(f"unknown {what}: {', '.join(map(repr, unknown))}")
     try:
-        return cls(**fixed, **options)
-    except TypeError as exc:
+        built = cls(**fixed, **options)
+        for key, value in options.items():
+            if types[key] == "int":
+                check_structure(value, int, key)
+    except (TypeError, FormatError) as exc:
         raise ConfigError(f"wrong value type among the {what}s: {exc}") from None
+    return built
 
 
 @dataclass(frozen=True)
@@ -190,8 +196,11 @@ class ExperimentConfig:
     output_dir: str = "runs/run"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "views", tuple(self.views))
-        object.__setattr__(self, "group_by", tuple(self.group_by))
+        for key in ("views", "group_by"):
+            if isinstance(getattr(self, key), str):
+                raise ConfigError(
+                    f"{key} must be a list of names, not a string")
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         object.__setattr__(self, "encoder_options",
                            dict(self.encoder_options))
         if self.component is None:  # JSON null names no component
@@ -299,8 +308,17 @@ def dataset_fingerprint(dataset: Dataset) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _mean_metric(rows: list, metric: str) -> float | None:
-    values = [row[metric] for row in rows if row[metric] is not None]
+def _groups(rows, key) -> dict:
+    """Rows grouped by ``key(row)`` in first-seen order."""
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row)
+    return groups
+
+
+def _mean(values) -> float | None:
+    """Mean of the values that are not None; None when none is left."""
+    values = [value for value in values if value is not None]
     return float(np.mean(values)) if values else None
 
 
@@ -310,12 +328,7 @@ def _ok_groups(rows, key) -> dict:
     Reused rows duplicate a phase-1 result and are excluded so no cell is
     counted twice.
     """
-    groups: dict = {}
-    for row in rows:
-        if row["status"] != "ok":
-            continue
-        groups.setdefault(key(row), []).append(row)
-    return groups
+    return _groups([row for row in rows if row["status"] == "ok"], key)
 
 
 def _min_parameters(rows: list) -> int:
@@ -344,7 +357,7 @@ def _select(candidates: list) -> str:
 def best_cell_label(rows: list, metric: str) -> str:
     """Cell with the best mean metric over its successful repetitions."""
     groups = _ok_groups(rows, lambda row: row["cell"])
-    return _select([(label, _mean_metric(group, metric),
+    return _select([(label, _mean(row[metric] for row in group),
                      _min_parameters(group))
                     for label, group in groups.items()])
 
@@ -358,7 +371,7 @@ def best_encoder(rows: list, metric: str) -> str:
     candidates = []
     for encoder, group in groups.items():
         inputs = [row for row in group if row["strategy"] == "Input"]
-        candidates.append((encoder, _mean_metric(group, metric),
+        candidates.append((encoder, _mean(row[metric] for row in group),
                            _min_parameters(inputs or group)))
     return _select(candidates)
 
@@ -437,12 +450,9 @@ def summarize(rows: list) -> list:
     The oracle property: running this over ``records.csv`` reproduces the
     stored summary exactly.
     """
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault((row["phase"], row["cell"], row["view"]),
-                          []).append(row)
     summary = []
-    for (phase, label, view), group in groups.items():
+    for (phase, label, view), group in _groups(
+            rows, lambda row: (row["phase"], row["cell"], row["view"])).items():
         scored = [row for row in group if row["status"] in ("ok", "reused")]
         first = group[0]
         entry = {
@@ -461,10 +471,8 @@ def summarize(rows: list) -> list:
         for metric in _METRIC_FIELDS:
             values = [row[metric] for row in scored
                       if row[metric] is not None]
-            entry[f"{metric}_mean"] = (float(np.mean(values))
-                                       if values else None)
-            entry[f"{metric}_std"] = (float(np.std(values))
-                                      if values else None)
+            entry[f"{metric}_mean"] = _mean(values)
+            entry[f"{metric}_std"] = float(np.std(values)) if values else None
         summary.append(entry)
     return summary
 
@@ -502,10 +510,21 @@ def _error_text(exc: Exception) -> str:
     return " ".join(text.split())
 
 
+def _metric_values(report, names) -> dict:
+    """The ``names`` fields of a MetricsReport as floats; each is None when
+    the report is None or leaves that metric undefined."""
+    values = {}
+    for name in names:
+        value = None if report is None else getattr(report, name)
+        values[name] = None if value is None else float(value)
+    return values
+
+
 def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
              fingerprint: str, out_dir: Path, merge: str) -> tuple:
-    """Train and score one (cell, repetition): its record row, its timing
-    row, and its test-split probabilities (None when it failed)."""
+    """Train and score one (cell, repetition): its record row, which also
+    carries its train and infer seconds, and its test-split probabilities
+    (None when it failed)."""
     train_ds, test_ds = data
     seed = rep_seed(config.seed_base, rep)
     parameters = None
@@ -534,13 +553,6 @@ def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
         status, error = "error", _error_text(exc)
         probabilities = report = None
         checkpoint = ""
-
-    def metric(name):
-        if report is None:
-            return None
-        value = getattr(report, name)
-        return None if value is None else float(value)
-
     row = {
         "cell": cell.label, "phase": cell.phase, "view": cell.view,
         "encoder": cell.encoder, "strategy": cell.strategy,
@@ -548,20 +560,11 @@ def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
         "repetition": rep, "seed": seed, "fingerprint": fingerprint,
         "status": status, "error": error, "parameters": parameters,
         "samples": None if report is None else int(report.samples),
-        "average_accuracy": metric("average_accuracy"),
-        "kappa": metric("kappa"),
-        "f1_macro": metric("f1_macro"),
-        "f1_positive": metric("f1_positive"),
-        "auc_roc": metric("auc_roc"),
-        "max_probability": metric("max_probability"),
-        "prediction_entropy": metric("prediction_entropy"),
+        **_metric_values(report, _METRIC_FIELDS),
         "checkpoint": checkpoint,
+        "train_seconds": train_seconds, "infer_seconds": infer_seconds,
     }
-    timing = {"cell": cell.label, "phase": cell.phase, "view": cell.view,
-              "repetition": rep, "status": status,
-              "train_seconds": train_seconds,
-              "infer_seconds": infer_seconds}
-    return row, timing, probabilities
+    return row, probabilities
 
 
 def _cell_split(cell: CellSpec, split: tuple) -> tuple:
@@ -572,8 +575,8 @@ def _cell_split(cell: CellSpec, split: tuple) -> tuple:
 
 
 def _execute(cells, split: tuple, config: ExperimentConfig, out_dir: Path,
-             fingerprint: str, predictions: dict) -> tuple:
-    """Run every (cell, repetition) in cell-major order.
+             fingerprint: str, predictions: dict) -> list:
+    """Run every (cell, repetition) in cell-major order; returns the rows.
 
     The test-split probabilities of each cell's lowest-numbered successful
     repetition go into ``predictions`` under its checkpoint path, which is
@@ -591,18 +594,17 @@ def _execute(cells, split: tuple, config: ExperimentConfig, out_dir: Path,
         return _run_one(cell, rep, _cell_split(cell, split), config,
                         fingerprint, out_dir, merges[cell])
 
-    rows, timings, kept = [], [], set()
+    rows, kept = [], set()
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
         # ``map`` yields in task order, so rows come out cell-major.
         results = (pool.map(work, tasks) if config.jobs > 1
                    and len(tasks) > 1 else map(work, tasks))
-        for row, timing, probabilities in results:
+        for row, probabilities in results:
             if row["status"] == "ok" and row["cell"] not in kept:
                 kept.add(row["cell"])
                 predictions[row["checkpoint"]] = probabilities
             rows.append(row)
-            timings.append(timing)
-    return rows, timings
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -648,28 +650,22 @@ def write_summary_markdown(path, summary: list, best_cell: str,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_summary_csv(path, summary: list) -> None:
-    _write_csv(path, SUMMARY_COLUMNS, summary)
-
-
-def _timing_rows(cells, timings: list) -> list:
-    by_label: dict = {}
-    for timing in timings:
-        by_label.setdefault((timing["phase"], timing["cell"]),
-                            []).append(timing)
-    rows = []
-    for cell in cells:
-        group = by_label.get((cell.phase, cell.label), [])
-        scored = [t for t in group if t["status"] != "error"]
-        rows.append({
-            "cell": cell.label, "phase": cell.phase, "view": cell.view,
+def _timing_rows(rows: list) -> list:
+    """Per cell in run order: its repetition count and its mean train and
+    infer seconds over the repetitions that did not fail."""
+    table = []
+    for (phase, label), group in _groups(
+            rows, lambda row: (row["phase"], row["cell"])).items():
+        scored = [row for row in group if row["status"] != "error"]
+        table.append({
+            "cell": label, "phase": phase, "view": group[0]["view"],
             "repetitions": len(group),
-            "train_seconds_mean": (float(np.mean(
-                [t["train_seconds"] for t in scored])) if scored else None),
-            "infer_seconds_mean": (float(np.mean(
-                [t["infer_seconds"] for t in scored])) if scored else None),
+            "train_seconds_mean": _mean(row["train_seconds"]
+                                        for row in scored),
+            "infer_seconds_mean": _mean(row["infer_seconds"]
+                                        for row in scored),
         })
-    return rows
+    return table
 
 
 def _column_cells(values: np.ndarray) -> list:
@@ -715,16 +711,9 @@ def _grouped_rows(labels, probabilities, metadata: dict, key: str,
                   classes: int) -> list:
     _check_group_fields(metadata, (key,))
     reports = grouped_report(labels, probabilities, metadata, key, classes)
-    rows = []
-    for group, report in reports.items():
-        rows.append({
-            "group": group,
-            "samples": int(report.samples),
-            "average_accuracy": float(report.average_accuracy),
-            "kappa": (None if report.kappa is None else float(report.kappa)),
-            "f1_macro": float(report.f1_macro),
-        })
-    return rows
+    return [{"group": group, "samples": int(report.samples),
+             **_metric_values(report, _GROUP_COLUMNS[2:])}
+            for group, report in reports.items()]
 
 
 def _per_class_rows(report) -> list:
@@ -742,7 +731,7 @@ def _write_tables(reports: Path, kind: str, best_cell: str, group_by,
     ``per_class.csv`` and one ``per_<group>.csv`` per grouping field."""
     reports.mkdir(parents=True, exist_ok=True)
     summary = summarize(rows)
-    write_summary_csv(reports / "summary.csv", summary)
+    _write_csv(reports / "summary.csv", SUMMARY_COLUMNS, summary)
     write_summary_markdown(reports / "summary.md", summary, best_cell, kind)
     if scores is None:
         return
@@ -752,9 +741,7 @@ def _write_tables(reports: Path, kind: str, best_cell: str, group_by,
                ("class", "precision", "recall", "f1"),
                _per_class_rows(evaluate(labels, probabilities, classes)))
     for key in group_by:
-        _write_csv(reports / f"per_{key}.csv",
-                   ("group", "samples", "average_accuracy", "kappa",
-                    "f1_macro"),
+        _write_csv(reports / f"per_{key}.csv", _GROUP_COLUMNS,
                    _grouped_rows(labels, probabilities, metadata, key,
                                  classes))
 
@@ -766,7 +753,8 @@ def _write_tables(reports: Path, kind: str, best_cell: str, group_by,
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """Everything a protocol run produced, with records as CSV row dicts."""
+    """Everything a protocol run produced, with records as CSV row dicts
+    holding exactly ``RECORD_COLUMNS``."""
 
     records: tuple
     cells: tuple
@@ -828,8 +816,8 @@ def _write_manifest(out_dir: Path, kind: str, config: ExperimentConfig,
 
 
 def _finalize(kind: str, config: ExperimentConfig, out_dir: Path,
-              fingerprint: str, cells: list, rows: list, timings: list,
-              trainings: int, split: tuple, predictions: dict) -> RunOutcome:
+              fingerprint: str, cells: list, rows: list, trainings: int,
+              split: tuple, predictions: dict) -> RunOutcome:
     write_records_csv(out_dir / "records.csv", rows)
     if not any(row["status"] == "ok" for row in rows):
         first = next((row["error"] for row in rows if row["error"]),
@@ -848,13 +836,12 @@ def _finalize(kind: str, config: ExperimentConfig, out_dir: Path,
     reports = out_dir / "reports"
     _write_tables(reports, kind, best, config.group_by, rows,
                   (test_ds.labels, probabilities, test_ds.metadata))
-    _write_csv(reports / "timings.csv",
-               ("cell", "phase", "view", "repetitions",
-                "train_seconds_mean", "infer_seconds_mean"),
-               _timing_rows(cells, timings))
+    _write_csv(reports / "timings.csv", _TIMING_COLUMNS, _timing_rows(rows))
     _write_predictions_csv(reports / "predictions.csv", test_ds.labels,
                            probabilities, test_ds.metadata)
-    return RunOutcome(records=tuple(rows), cells=tuple(cells),
+    records = tuple({column: row[column] for column in RECORD_COLUMNS}
+                    for row in rows)
+    return RunOutcome(records=records, cells=tuple(cells),
                       trainings_executed=trainings, best_cell=best,
                       output_dir=str(out_dir))
 
@@ -896,7 +883,7 @@ def _run_protocol(kind: str, phases, dataset,
     fingerprint = config.fingerprint(dataset_fingerprint(dataset), unread)
     split = stratified_split(dataset, config.test_fraction, config.seed_base)
 
-    cells, rows, timings, predictions, trainings = [], [], [], {}, 0
+    cells, rows, predictions, trainings = [], [], {}, 0
     for phase in phases:
         try:
             trained, reused = phase(dataset, config, rows)
@@ -907,16 +894,12 @@ def _run_protocol(kind: str, phases, dataset,
             rows += [dict(row, phase=cell.phase, status=(
                 "reused" if row["status"] == "ok" else "error"))
                 for row in rows if row["cell"] == cell.label]
-            timings += [dict(timing, phase=cell.phase)
-                        for timing in timings if timing["cell"] == cell.label]
         cells += (*reused, *trained)
-        more_rows, more_timings = _execute(trained, split, config, out_dir,
-                                           fingerprint, predictions)
-        rows += more_rows
-        timings += more_timings
+        rows += _execute(trained, split, config, out_dir, fingerprint,
+                         predictions)
         trainings += len(trained) * config.repetitions
     return _finalize(kind, config, out_dir, fingerprint, cells, rows,
-                     timings, trainings, split, predictions)
+                     trainings, split, predictions)
 
 
 def _config_cell(dataset, config, rows) -> tuple:

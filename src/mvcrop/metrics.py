@@ -4,8 +4,9 @@ reports.
 
 All operations are pure functions of immutable inputs. Undefined values
 (kappa with chance agreement 1, AUC with one-class truth) raise NumericError
-from the low-level functions; `evaluate` converts those to None fields so
-report tables can mark them unavailable.
+from the low-level functions. Both can happen only with single-class truth,
+which `evaluate` checks first and reports as None fields, so report tables
+can mark them unavailable.
 """
 from __future__ import annotations
 
@@ -157,17 +158,14 @@ def row_entropy(probabilities) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
-def uncertainty(probabilities, normalize: bool = True) -> tuple[float, float]:
-    """(mean max probability, mean prediction entropy).
+def uncertainty(probabilities) -> tuple[float, float]:
+    """(mean max probability, mean prediction entropy divided by ln K).
 
-    Entropy is divided by ln K when ``normalize`` is set, putting all class
-    counts on one [0, 1] scale.
+    Dividing by ln K puts all class counts on one [0, 1] scale.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
     max_probability = float(probs.max(axis=1).mean())
-    entropy = float(row_entropy(probs).mean())
-    if normalize:
-        entropy /= np.log(probs.shape[1])
+    entropy = float(row_entropy(probs).mean()) / np.log(probs.shape[1])
     return max_probability, entropy
 
 
@@ -187,23 +185,20 @@ class MetricsReport:
 
 
 def evaluate(y_true, probabilities, classes: int) -> MetricsReport:
-    """Full report over one prediction set; undefined metrics become None."""
+    """Full report over one prediction set; undefined metrics become None.
+
+    Kappa and AUC are reported only when the truth holds two or more
+    classes, and then neither is undefined: each class row sums to less
+    than n, so the chance term ``rows @ cols`` stays below ``n * n``, and a
+    binary truth holds both classes.
+    """
     probs = np.asarray(probabilities, dtype=np.float64)
     cm = confusion_matrix(y_true, probs, classes)
     f1 = f1_scores(cm)
     single_class_truth = np.count_nonzero(cm.sum(axis=1)) < 2
-    kappa = None
-    if not single_class_truth:
-        try:
-            kappa = cohen_kappa(cm)
-        except NumericError:
-            kappa = None
-    auc = None
-    if classes == 2 and not single_class_truth:
-        try:
-            auc = auc_roc(probs[:, 1], _as_labels(y_true, classes, "true"))
-        except NumericError:
-            auc = None
+    kappa = None if single_class_truth else cohen_kappa(cm)
+    auc = (auc_roc(probs[:, 1], _as_labels(y_true, classes, "true"))
+           if classes == 2 and not single_class_truth else None)
     max_probability, entropy = uncertainty(probs)
     return MetricsReport(
         samples=int(cm.sum()),

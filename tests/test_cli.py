@@ -347,6 +347,36 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("override, message", [
+        ({"views": "radar"}, "views must be a list of names"),
+        ({"group_by": "year"}, "group_by must be a list of names"),
+        ({"repetitions": 2.5}, "repetitions must be a non-negative integer"),
+        ({"repetitions": True}, "repetitions must be a non-negative integer"),
+        ({"seed_base": 1.0}, "seed_base must be a non-negative integer"),
+        ({"jobs": 1.5}, "jobs must be a non-negative integer"),
+        ({"train": {"batch_size": 16.0}},
+         "batch_size must be a non-negative integer"),
+        ({"train": {"max_epochs": 1.5}},
+         "max_epochs must be a non-negative integer"),
+        ({"train": {"patience": True}},
+         "patience must be a non-negative integer"),
+        ({"encoder_options": {**TINY_OPTIONS, "hidden": 4.0}},
+         "hidden must be a non-negative integer"),
+        ({"encoder_options": {**TINY_OPTIONS, "layers": 1.0}},
+         "layers must be a non-negative integer"),
+    ], ids=["views-str", "group-by-str", "repetitions-float",
+            "repetitions-bool", "seed-base-float", "jobs-float",
+            "batch-size-float", "max-epochs-float", "patience-bool",
+            "hidden-float", "layers-float"])
+    def test_wrong_list_or_count_type_names_the_field(
+            self, capsys, data_path, tmp_path, override, message):
+        config = write_config(tmp_path / "config.json", data_path,
+                              tmp_path / "run", **override)
+        code, _, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 1
+        assert message in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("override, message", [
         ({"learning_rate": 0.1}, "unknown config key: 'learning_rate'"),
         ({"train": {"momentum": 0.9}}, "unknown train option: 'momentum'"),
         ({"encoder_options": {"width": 8}}, "unknown encoder option: 'width'"),

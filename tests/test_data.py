@@ -857,6 +857,24 @@ class TestStratifiedSplit:
         _, t2 = stratified_split(ds, 0.25, seed=2)
         assert list(t1.metadata["latitude"]) != list(t2.metadata["latitude"])
 
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("fraction", [0.05, 0.3, 0.5, 0.75, 0.95])
+    def test_test_side_size_and_partition(self, classes, fraction):
+        for n in (2, 3, 5, 8, 13, 40, 99, 256):
+            labels = (np.arange(n) ** 2 % classes).astype(np.int64)
+            ds = Dataset(
+                task="binary" if classes == 2 else "multicrop",
+                classes=2 if classes == 2 else 10,
+                schemas=(ViewSchema("sample_id", False, 1, None),),
+                arrays={"sample_id": np.arange(n, dtype=np.float32)[:, None]},
+                labels=labels, metadata={})
+            train, test = stratified_split(ds, fraction, seed=n)
+            expected = min(max(int(np.floor(fraction * n + 0.5)), 1), n - 1)
+            assert len(test) == expected
+            ids = np.concatenate([train.arrays["sample_id"][:, 0],
+                                  test.arrays["sample_id"][:, 0]])
+            assert np.array_equal(np.sort(ids), np.arange(n))
+
     def test_fraction_out_of_range(self):
         ds = synth_generate(SynthSpec("complementary", samples=20), seed=3)
         for bad in (0.0, 1.0, -0.2, 1.5):

@@ -552,6 +552,66 @@ class TestRecordsCsv:
         header = path.read_text().splitlines()[0]
         assert header == ",".join(RECORD_COLUMNS)
 
+    def test_column_lists_are_pinned(self):
+        assert RECORD_COLUMNS == (
+            "cell", "phase", "view", "encoder", "strategy", "component",
+            "merge", "repetition", "seed", "fingerprint", "status", "error",
+            "parameters", "samples", "average_accuracy", "kappa", "f1_macro",
+            "f1_positive", "auc_roc", "max_probability",
+            "prediction_entropy", "checkpoint")
+        assert SUMMARY_COLUMNS == (
+            "cell", "phase", "view", "encoder", "strategy", "component",
+            "parameters", "reps_total", "reps_ok", "reps_failed",
+            "average_accuracy_mean", "average_accuracy_std",
+            "kappa_mean", "kappa_std", "f1_macro_mean", "f1_macro_std",
+            "f1_positive_mean", "f1_positive_std", "auc_roc_mean",
+            "auc_roc_std", "max_probability_mean", "max_probability_std",
+            "prediction_entropy_mean", "prediction_entropy_std")
+
+
+def timed_row(encoder, strategy, train_seconds, infer_seconds, **kw):
+    return dict(fake_row(encoder, strategy, **kw),
+                train_seconds=train_seconds, infer_seconds=infer_seconds)
+
+
+class TestTimingTable:
+    def test_error_repetitions_are_counted_but_not_averaged(self):
+        import mvcrop.experiments as exp
+
+        rows = [timed_row("GRU", "Input", 2.0, 0.5, repetition=0),
+                timed_row("GRU", "Input", 9.0, 0.0, repetition=1,
+                          status="error"),
+                timed_row("GRU", "Input", 4.0, 1.5, repetition=2)]
+        assert exp._timing_rows(rows) == [{
+            "cell": "GRU/Input", "phase": "", "view": "", "repetitions": 3,
+            "train_seconds_mean": 3.0, "infer_seconds_mean": 1.0}]
+
+    def test_reused_cell_and_all_error_cell(self):
+        import mvcrop.experiments as exp
+
+        first = [timed_row("GRU", "Input", 2.0, 0.5, phase="phase1"),
+                 timed_row("GRU", "Input", 7.0, 0.0, phase="phase1",
+                           repetition=1, status="error")]
+        reused = [dict(first[0], phase="phase2", status="reused"),
+                  dict(first[1], phase="phase2")]
+        failed = [timed_row("GRU", "Feature", 1.0, 0.0, phase="phase2",
+                            repetition=rep, status="error")
+                  for rep in range(2)]
+        table = exp._timing_rows(first + reused + failed)
+        assert [(t["phase"], t["cell"], t["repetitions"]) for t in table] == [
+            ("phase1", "GRU/Input", 2), ("phase2", "GRU/Input", 2),
+            ("phase2", "GRU/Feature", 2)]
+        assert [(t["train_seconds_mean"], t["infer_seconds_mean"])
+                for t in table] == [(2.0, 0.5), (2.0, 0.5), (None, None)]
+
+    def test_baseline_cells_keep_their_view(self):
+        import mvcrop.experiments as exp
+
+        rows = [timed_row("GRU", "Input", 1.0, 0.25, phase="baseline",
+                          view=view) for view in ("radar", "optical")]
+        assert [(t["cell"], t["view"]) for t in exp._timing_rows(rows)] == [
+            ("GRU/Input[radar]", "radar"), ("GRU/Input[optical]", "optical")]
+
 
 # ---------------------------------------------------------------------------
 # single-cell runs
@@ -1358,8 +1418,8 @@ class TestReportsFromRunScores:
         cells = (CellSpec("GRU", "Feature"), CellSpec("TAE", "Input"))
         (tmp_path / "checkpoints").mkdir()
         predictions = {}
-        rows, _ = exp._execute(cells, (train_part, test_part), config,
-                               tmp_path, "fp", predictions)
+        rows = exp._execute(cells, (train_part, test_part), config,
+                            tmp_path, "fp", predictions)
         assert [(r["cell"], r["repetition"]) for r in rows] == [
             (c.label, rep) for c in cells for rep in range(3)]
         assert list(predictions) == [rows[1]["checkpoint"],

@@ -247,16 +247,18 @@ class TestUncertainty:
         assert abs(entropy - 0.469) < 1e-3
 
     def test_unnormalized_option(self):
+        # the unnormalised mean entropy is row_entropy's mean; uncertainty
+        # divides it by ln K
         probs = np.full((2, 4), 0.25)
-        _, entropy = uncertainty(probs, normalize=False)
-        assert abs(entropy - np.log(4.0)) < 1e-12
+        assert abs(row_entropy(probs).mean() - np.log(4.0)) < 1e-12
+        assert abs(uncertainty(probs)[1] - 1.0) < 1e-12
 
     def test_row_entropy_is_the_unnormalised_per_row_term(self):
         probs = np.array([[1.0, 0.0], [0.5, 0.5], [0.9, 0.1]])
         rows = row_entropy(probs)
         assert rows[0] == 0.0
         assert abs(rows[1] - np.log(2.0)) < 1e-15
-        assert uncertainty(probs, normalize=False)[1] == rows.mean()
+        assert uncertainty(probs)[1] == rows.mean() / np.log(2.0)
 
     def test_temperature_monotonicity(self):
         rng = np.random.default_rng(8)
@@ -301,6 +303,13 @@ class TestEvaluate:
         rep = evaluate(y, probs, 3)
         assert rep.auc_roc is None
         assert rep.f1_positive is None
+
+    def test_constant_prediction_over_two_true_classes(self):
+        # kappa's chance term stays below n * n, and AUC sees both classes
+        probs = np.tile([0.7, 0.3], (5, 1))
+        rep = evaluate(np.array([0, 1, 0, 1, 1]), probs, 2)
+        assert rep.kappa == 0.0
+        assert rep.auc_roc == 0.5
 
     def test_single_class_truth_marks_kappa_and_auc_unavailable(self):
         probs = np.array([[0.6, 0.4], [0.8, 0.2]])

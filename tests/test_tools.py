@@ -26,21 +26,39 @@ def _write(root: Path, files: dict) -> Path:
     return root
 
 
+TIMINGS = ("cell,phase,view,repetitions,train_seconds_mean,"
+           "infer_seconds_mean\nGRU/Input,,,%d,%s,%s\nGRU/Feature,,,2,,\n")
+
+
 def test_digest_skips_timings_and_blanks_manifest_run_fields(tmp_path):
+    # timings.csv is hashed with its seconds blanked, not skipped
     manifest = ('{\n  "config": {\n    "output_dir": "%s"\n  },\n'
                 '  "created": "%s",\n  "kind": "cell"\n}\n')
     a = identity.digest_outputs(_write(tmp_path / "a", {
         "run/manifest": manifest % ("x", "2026-01-01"),
-        "run/reports/timings.csv": "1.0\n", "run/records.csv": "r\n"}))
+        "run/reports/timings.csv": TIMINGS % (2, "1.5", "0.25"),
+        "run/records.csv": "r\n"}))
     b = identity.digest_outputs(_write(tmp_path / "b", {
         "run/manifest": manifest % ("y", "2026-02-02"),
-        "run/reports/timings.csv": "2.0\n", "run/records.csv": "r\n"}))
-    assert sorted(a) == ["run/manifest", "run/records.csv"]
+        "run/reports/timings.csv": TIMINGS % (2, "3.0", "0.125"),
+        "run/records.csv": "r\n"}))
+    assert sorted(a) == ["run/manifest", "run/records.csv",
+                         "run/reports/timings.csv"]
     assert a == b
     c = identity.digest_outputs(_write(tmp_path / "c", {
         "run/manifest": (manifest % ("x", "2026-01-01")).replace("cell", "grid"),
         "run/records.csv": "r\n"}))
     assert c["run/manifest"] != a["run/manifest"]
+
+
+def test_timings_differ_in_repetitions_and_empty_means(tmp_path):
+    def digest(name, text):
+        return identity.digest_outputs(_write(tmp_path / name, {
+            "t/timings.csv": text}))["t/timings.csv"]
+
+    base = digest("a", TIMINGS % (2, "1.5", "0.25"))
+    assert digest("b", TIMINGS % (3, "1.5", "0.25")) != base
+    assert digest("c", TIMINGS % (2, "", "")) != base
 
 
 def test_compare_flags_changed_and_one_sided_files():
@@ -68,5 +86,5 @@ def test_smoke_against_head_is_identical():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(proc.stdout)
     assert report["ok"] is True
-    assert report["threads"]["1"]["files"] == 18
+    assert report["threads"]["1"]["files"] == 20
     assert report["threads"]["1"]["differences"] == []

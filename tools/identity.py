@@ -20,8 +20,11 @@ fixed matrix with that tree's ``mvcrop``:
   fires and the validation loss decides which epoch's parameters are kept.
 
 ``--smoke`` runs only ``SMOKE_CELLS`` at one repetition. Every output file
-is hashed with sha256. ``timings.csv`` is skipped, and a manifest's
-``created`` and ``output_dir`` values are blanked before hashing. The JSON
+is hashed with sha256. Before hashing, a manifest's ``created`` and
+``output_dir`` values are blanked, and in ``timings.csv`` every non-empty
+seconds cell becomes ``*``: its header and its ``cell``, ``phase``, ``view``
+and ``repetitions`` columns are compared as they are, and a cell without a
+successful repetition keeps its empty means. The JSON
 report goes to stdout. The exit status is 1 when a file differs, or exists
 in one tree only, and matches no ``--expect-diff`` glob (``fnmatch`` on the
 path relative to the output root, e.g. ``grid/manifest``).
@@ -31,8 +34,10 @@ Comparing one thread count's outputs with another's is not done here.
 from __future__ import annotations
 
 import argparse
+import csv
 import fnmatch
 import hashlib
+import io
 import json
 import os
 import re
@@ -119,15 +124,30 @@ def run_matrix(smoke: bool) -> None:
                 f"{type(exc).__name__}: {exc}\n")
 
 
+def _blank_seconds(blob: bytes) -> bytes:
+    """A ``timings.csv`` with every non-empty seconds cell replaced by
+    ``*``; the wall-clock seconds differ from run to run."""
+    header, *rows = csv.reader(io.StringIO(blob.decode()))
+    seconds = {i for i, name in enumerate(header) if "seconds" in name}
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(["*" if i in seconds and cell else cell
+                      for i, cell in enumerate(row)] for row in rows)
+    return out.getvalue().encode()
+
+
 def digest_outputs(root: Path) -> dict[str, str]:
     """sha256 of every output file below ``root`` by relative path."""
     digests = {}
     for path in sorted(root.rglob("*")):
-        if not path.is_file() or path.name == "timings.csv":
+        if not path.is_file():
             continue
         blob = path.read_bytes()
         if path.name == "manifest":
             blob = _BLANKED.sub(rb'\1""', blob)
+        elif path.name == "timings.csv":
+            blob = _blank_seconds(blob)
         digests[path.relative_to(root).as_posix()] = (
             hashlib.sha256(blob).hexdigest())
     return digests
