@@ -30,6 +30,7 @@ from .data import (
 from .errors import ConfigError, FormatError, ShapeError, check_structure
 from .experiments import (
     ExperimentConfig,
+    _write_csv,
     inspect_parameters,
     reemit_reports,
     run_cell,
@@ -108,11 +109,11 @@ def _build_parser() -> _Parser:
 
 def _load_json(path):
     try:
-        text = Path(path).read_text()
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     try:
-        return json.loads(text)
+        return json.loads(blob)
     except ValueError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
 
@@ -196,14 +197,10 @@ def _cmd_entropy(args) -> int:
               f"(min {stats['min']:.4f}, max {stats['max']:.4f}, "
               f"std {stats['std']:.4f})")
     if args.out:
-        import csv
-
-        with open(args.out, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("view", "feature", "entropy"))
-            for view, values in report.per_feature.items():
-                for feature, value in enumerate(values):
-                    writer.writerow((view, feature, repr(float(value))))
+        _write_csv(args.out, ("view", "feature", "entropy"),
+                   [{"view": view, "feature": feature, "entropy": value}
+                    for view, values in report.per_feature.items()
+                    for feature, value in enumerate(values)])
         print(f"wrote {args.out}")
     return 0
 

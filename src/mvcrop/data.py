@@ -498,51 +498,86 @@ def load_dataset(path) -> Dataset:
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-_METADATA_PARSERS = {
-    "country": str,
-    "continent": str,
-    "year": int,
-    "latitude": float,
-    "longitude": float,
-    "is_test": int,
+# label-file metadata columns: (parser, value when the file omits the column)
+_METADATA_COLUMNS = {
+    "country": (str, "unknown"),
+    "continent": (str, "unknown"),
+    "year": (int, 0),
+    "latitude": (float, 0.0),
+    "longitude": (float, 0.0),
+    "is_test": (int, 0),
 }
-_METADATA_DEFAULTS = {
-    "country": "unknown",
-    "continent": "unknown",
-    "year": 0,
-    "latitude": 0.0,
-    "longitude": 0.0,
-    "is_test": 0,
-}
+# Magnitudes a numeric cell must stay below: an int64 for integers, and for
+# floats the smallest magnitude that rounds to infinity in float32, the
+# storage type of view values.
+_CELL_LIMITS = {int: 2 ** 63, float: 2.0 ** 128 - 2.0 ** 103}
 
 
-def _read_view_csv(path, schema: ViewSchema) -> dict:
-    width = int(np.prod(schema.shape))
-    rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "id":
-            raise FormatError(f"{path}: first column must be 'id'")
-        if len(header) != 1 + width:
-            raise FormatError(
-                f"{path}: expected {width} value columns for view {schema.name!r}, "
-                f"got {len(header) - 1}"
-            )
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 1 + width:
-                raise FormatError(f"{path}:{line}: expected {1 + width} cells, got {len(row)}")
-            sid = row[0]
-            if sid in rows:
-                raise FormatError(f"{path}:{line}: duplicate id {sid!r}")
-            try:
-                values = np.asarray([float(c) for c in row[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{line}: non-numeric cell ({exc})") from exc
-            rows[sid] = values.reshape(schema.shape)
-    return rows
+def read_csv(path, required=()) -> tuple[list, list]:
+    """A UTF-8 CSV file's header and ``(line, cells)`` pairs, blank rows
+    skipped. FormatError names the file, and the line where there is one,
+    for undecodable bytes, a malformed or over-long field, a header that
+    lacks a ``required`` column or names a column twice, and a row whose
+    length differs from the header's."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            rows = [(reader.line_num, cells) for cells in reader if cells]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: unreadable CSV ({exc})") from None
+    missing = [column for column in required if column not in header]
+    if missing:
+        raise FormatError(f"{path} line 1: missing column(s) {missing}")
+    if len(set(header)) != len(header):
+        raise FormatError(f"{path} line 1: a column name repeats")
+    for line, cells in rows:
+        if len(cells) != len(header):
+            raise FormatError(f"{path} line {line}: {len(cells)} cells, but "
+                              f"the header has {len(header)} columns")
+    return header, rows
+
+
+def parse_cell(path, line: int, column: str, convert, text):
+    """``convert(text)`` for ``convert`` ``int`` or ``float``; FormatError
+    names the file, line and column unless ``text`` is an integer that
+    int64 holds or a number that float32 holds finitely."""
+    try:
+        value = convert(text)
+        if abs(value) < _CELL_LIMITS[convert]:
+            return value
+    except ValueError:
+        pass
+    kind = "an integer" if convert is int else "a finite number"
+    raise FormatError(f"{path} line {line}: cannot read {column} {text!r} as {kind}")
+
+
+def _read_keyed(path, required=()) -> tuple[list, dict]:
+    """An id-keyed CSV: its header and ``{id: (line, cells)}`` in file
+    order. ``id`` must be the first column and each id must be unique."""
+    header, rows = read_csv(path, required)
+    if header[:1] != ["id"]:
+        raise FormatError(f"{path} line 1: first column must be 'id'")
+    table = {}
+    for line, cells in rows:
+        if cells[0] in table:
+            raise FormatError(f"{path} line {line}: duplicate id {cells[0]!r}")
+        table[cells[0]] = (line, cells)
+    return header, table
+
+
+def _read_view(path, schema: ViewSchema) -> dict:
+    """``{id: values}`` of one view file, each row shaped ``schema.shape``."""
+    header, table = _read_keyed(path)
+    width = math.prod(schema.shape)
+    if len(header) != 1 + width:
+        raise FormatError(
+            f"{path} line 1: expected {width} value columns for view "
+            f"{schema.name!r}, got {len(header) - 1}")
+    return {sid: np.reshape([parse_cell(path, line, column, float, cell)
+                             for column, cell in zip(header[1:], cells[1:])],
+                            schema.shape)
+            for sid, (line, cells) in table.items()}
 
 
 def import_csv(
@@ -555,85 +590,54 @@ def import_csv(
     """Assemble a :class:`Dataset` from one wide CSV per view plus a label CSV.
 
     Samples missing at least one view are dropped with a counted warning;
-    label ids absent from every view are a hard error; view rows without a
-    label are ignored.
+    a label id absent from every view, or a label file none of whose ids
+    has every view, is a FormatError; view rows without a label are ignored.
     """
     schemas = tuple(schemas)
     if set(view_files) != {s.name for s in schemas}:
         raise ConfigError("view files do not match the declared schemas")
 
-    view_rows = {s.name: _read_view_csv(view_files[s.name], s) for s in schemas}
+    view_rows = {s.name: _read_view(view_files[s.name], s) for s in schemas}
 
-    known = set(_METADATA_PARSERS)
-    labels = []
-    metadata_rows = []
-    ids = []
-    with open(label_file, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "id" or "label" not in header:
-            raise FormatError(f"{label_file}: header must contain 'id' and 'label'")
-        extra = [c for c in header[1:] if c != "label" and c not in known]
-        if extra:
-            raise FormatError(f"{label_file}: unknown columns {extra}")
-        columns = header[1:]
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{label_file}:{line}: expected {len(header)} cells, got {len(row)}"
-                )
-            sid = row[0]
-            record = dict(_METADATA_DEFAULTS)
-            label = None
-            for name, cell in zip(columns, row[1:]):
-                try:
-                    if name == "label":
-                        label = int(cell)
-                    else:
-                        record[name] = _METADATA_PARSERS[name](cell)
-                except ValueError as exc:
-                    raise FormatError(f"{label_file}:{line}: bad {name} cell ({exc})") from exc
-            ids.append(sid)
-            labels.append(label)
-            metadata_rows.append(record)
-
-    kept, kept_labels, kept_meta = [], [], []
-    dropped = 0
-    for sid, label, record in zip(ids, labels, metadata_rows):
-        present = [name for name in view_rows if sid in view_rows[name]]
+    header, table = _read_keyed(label_file, ("label",))
+    extra = [c for c in header[1:] if c != "label" and c not in _METADATA_COLUMNS]
+    if extra:
+        raise FormatError(f"{label_file} line 1: unknown columns {extra}")
+    kept, labels, records = [], [], []
+    for sid, (line, cells) in table.items():
+        record = {key: default for key, (_, default) in _METADATA_COLUMNS.items()}
+        for name, cell in zip(header[1:], cells[1:]):
+            convert = int if name == "label" else _METADATA_COLUMNS[name][0]
+            record[name] = (cell if convert is str
+                            else parse_cell(label_file, line, name, convert, cell))
+        if not 0 <= record["label"] < classes:
+            raise FormatError(f"{label_file} line {line}: label "
+                              f"{record['label']} is outside [0, {classes})")
+        present = sum(sid in rows for rows in view_rows.values())
         if not present:
-            raise FormatError(f"label id {sid!r} is absent from every view file")
-        if len(present) != len(view_rows):
-            dropped += 1
-            continue
-        kept.append(sid)
-        kept_labels.append(label)
-        kept_meta.append(record)
-    if dropped:
+            raise FormatError(f"{label_file} line {line}: label id {sid!r} "
+                              "is absent from every view file")
+        if present == len(view_rows):
+            kept.append(sid)
+            labels.append(record.pop("label"))
+            records.append(record)
+    if len(kept) < len(table):
         warnings.warn(
-            f"dropped {dropped} sample(s) missing at least one view",
+            f"dropped {len(table) - len(kept)} sample(s) missing at least one view",
             stacklevel=2,
         )
     if not kept:
-        raise ConfigError("no samples left after referential checks")
+        raise FormatError(f"{label_file}: no label id has a row in every view file")
 
-    arrays = {
-        schema.name: np.stack([view_rows[schema.name][sid] for sid in kept])
-        for schema in schemas
-    }
-    metadata = {
-        key: np.asarray([record[key] for record in kept_meta])
-        for key in _METADATA_PARSERS
-    }
     return Dataset(
         task=task,
         classes=classes,
         schemas=schemas,
-        arrays=arrays,
-        labels=np.asarray(kept_labels, dtype=np.int64),
-        metadata=metadata,
+        arrays={s.name: np.stack([view_rows[s.name][sid] for sid in kept])
+                for s in schemas},
+        labels=np.asarray(labels, dtype=np.int64),
+        metadata={key: np.asarray([record[key] for record in records])
+                  for key in _METADATA_COLUMNS},
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_fields
 from .layers import BatchNorm, Conv1dSame, Dropout, LayerNorm, Linear, Module
 from .tensor import (
     Parameter,
@@ -55,6 +55,7 @@ class EncoderConfig:
     value_split: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(
                 f"unknown architecture {self.architecture!r}; known: {ARCHITECTURES}"

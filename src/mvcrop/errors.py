@@ -1,5 +1,8 @@
-"""Shared exception types for contract violations, and the structural
-check that parsers run over a decoded JSON manifest."""
+"""Shared exception types for contract violations, the structural check
+that parsers run over a decoded JSON manifest, and the field-type rule that
+config objects run on themselves."""
+
+from dataclasses import fields
 
 
 class ShapeError(ValueError):
@@ -21,9 +24,10 @@ class FormatError(ValueError):
 def check_structure(value, spec, where: str = "manifest"):
     """Raise FormatError naming ``where`` unless ``value`` matches ``spec``.
 
-    ``spec`` is a type (``int`` means a non-negative integer, never a bool),
-    a ``[spec]`` list whose items all match, a ``{key: spec}`` object with at
-    least those keys, or a ``(spec, None)`` pair that also admits null.
+    ``spec`` is a type (``int`` means a non-negative integer and ``float``
+    an integer or a float, neither of them a bool), a ``[spec]`` list whose
+    items all match, a ``{key: spec}`` object with at least those keys, or
+    a ``(spec, None)`` pair that also admits null.
     """
     if isinstance(spec, tuple):
         if value is None:
@@ -44,5 +48,21 @@ def check_structure(value, spec, where: str = "manifest"):
     elif spec is int:
         if type(value) is not int or value < 0:
             raise FormatError(f"{where} must be a non-negative integer")
+    elif spec is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise FormatError(f"{where} must be a number")
     elif not isinstance(value, spec):
         raise FormatError(f"{where} must be of type {spec.__name__}")
+
+
+def check_fields(config) -> None:
+    """Raise ConfigError naming the field unless every field of the
+    dataclass ``config`` annotated ``int``, ``float`` or ``bool`` holds a
+    value that ``check_structure`` admits for that type."""
+    for item in fields(config):
+        spec = {"int": int, "float": float, "bool": bool}.get(item.type)
+        if spec is not None:
+            try:
+                check_structure(getattr(config, item.name), spec, item.name)
+            except FormatError as exc:
+                raise ConfigError(f"wrong value type: {exc}") from None

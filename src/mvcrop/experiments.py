@@ -31,9 +31,9 @@ from time import perf_counter
 import numpy as np
 
 from . import __version__
-from .data import Dataset, load_dataset, stratified_split
+from .data import Dataset, load_dataset, parse_cell, read_csv, stratified_split
 from .encoders import EncoderConfig, build_encoder
-from .errors import ConfigError, FormatError, check_structure
+from .errors import ConfigError, check_fields, check_structure
 from .fusion import (
     COMPONENT_STRATEGIES,
     COMPONENTS,
@@ -155,21 +155,16 @@ def search_cells(winner: str) -> tuple[CellSpec, ...]:
 def _build(cls, options: dict, what: str, **fixed):
     """``cls(**fixed, **options)``. A name in ``options`` that is not a
     field of ``cls``, or is one of ``fixed``, is reported as an unknown
-    ``what`` by name; a value of the wrong type (a ``TypeError`` while
-    building, or a field declared ``int`` that is not a non-negative
-    ``int``, bools excluded) as a bad value. Both raise ConfigError."""
-    types = {f.name: f.type for f in fields(cls) if f.name not in fixed}
-    unknown = [key for key in options if key not in types]
+    ``what`` by name, and a ``TypeError`` while building as a value of the
+    wrong type; both raise ConfigError. ``cls`` checks its field types."""
+    names = {f.name for f in fields(cls)} - set(fixed)
+    unknown = [key for key in options if key not in names]
     if unknown:
         raise ConfigError(f"unknown {what}: {', '.join(map(repr, unknown))}")
     try:
-        built = cls(**fixed, **options)
-        for key, value in options.items():
-            if types[key] == "int":
-                check_structure(value, int, key)
-    except (TypeError, FormatError) as exc:
+        return cls(**fixed, **options)
+    except TypeError as exc:
         raise ConfigError(f"wrong value type among the {what}s: {exc}") from None
-    return built
 
 
 @dataclass(frozen=True)
@@ -196,6 +191,7 @@ class ExperimentConfig:
     output_dir: str = "runs/run"
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for key in ("views", "group_by"):
             if isinstance(getattr(self, key), str):
                 raise ConfigError(
@@ -217,8 +213,6 @@ class ExperimentConfig:
         if self.repetitions < 1:
             raise ConfigError(
                 f"repetitions must be >= 1, got {self.repetitions}")
-        if self.seed_base < 0:
-            raise ConfigError(f"seed base must be >= 0, got {self.seed_base}")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not 0.0 < self.test_fraction < 1.0:
@@ -401,45 +395,17 @@ def write_records_csv(path, rows: list) -> None:
     _write_csv(path, RECORD_COLUMNS, rows)
 
 
-def _csv_table(path, required) -> tuple[list, list]:
-    """A CSV file's header and ``(line, row)`` pairs; FormatError names
-    the file and line of a missing ``required`` column or of a row whose
-    length differs from the header's."""
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [column for column in required if column not in header]
-        if missing:
-            raise FormatError(f"{path} line 1: missing column(s) {missing}")
-        table = [(reader.line_num, raw) for raw in reader]
-    for line, raw in table:
-        if None in raw or None in raw.values():  # DictReader's filler
-            raise FormatError(f"{path} line {line}: row length differs "
-                              f"from the header's {len(header)} columns")
-    return header, table
-
-
-def _parse_cell(path, line: int, column: str, convert, text):
-    try:
-        return convert(text)
-    except (TypeError, ValueError):
-        raise FormatError(
-            f"{path} line {line}: cannot parse {column} {text!r}") from None
-
-
 def read_records_csv(path) -> list:
     """The rows of a ``records.csv``; a missing column or an unparsable
     cell raises FormatError naming the file and line."""
-    _, table = _csv_table(path, RECORD_COLUMNS)
+    header, table = read_csv(path, RECORD_COLUMNS)
     rows = []
-    for line, raw in table:
-        row = {}
-        for column in RECORD_COLUMNS:
-            text, convert = raw[column], _NUMERIC_TYPES.get(column)
-            if convert is not None:
-                text = (_parse_cell(path, line, column, convert, text)
-                        if text else None)
-            row[column] = text
+    for line, cells in table:
+        raw = dict(zip(header, cells))
+        row = {column: raw[column] for column in RECORD_COLUMNS}
+        for column, convert in _NUMERIC_TYPES.items():
+            row[column] = (parse_cell(path, line, column, convert, row[column])
+                           if row[column] else None)
         rows.append(row)
     return rows
 
@@ -985,19 +951,20 @@ def single_view_baselines(dataset, config: ExperimentConfig) -> RunOutcome:
 
 def _read_predictions(path) -> tuple:
     """Per-sample dump back into (labels, probabilities, metadata)."""
-    header, table = _csv_table(path, ("true_label",))
+    header, table = read_csv(path, ("true_label",))
     if not table:
         raise ConfigError(f"{path} holds no prediction rows")
     prob_columns = sorted(
         (c for c in header if c.startswith("prob_")),
-        key=lambda c: _parse_cell(path, 1, "column", int, c[len("prob_"):]))
+        key=lambda c: parse_cell(path, 1, "column", int, c[len("prob_"):]))
+    rows = [(line, dict(zip(header, cells))) for line, cells in table]
     labels = np.array(
-        [_parse_cell(path, line, "true_label", int, row["true_label"])
-         for line, row in table], dtype=np.int64)
+        [parse_cell(path, line, "true_label", int, row["true_label"])
+         for line, row in rows], dtype=np.int64)
     probabilities = np.array(
-        [[_parse_cell(path, line, c, float, row[c]) for c in prob_columns]
-         for line, row in table], dtype=np.float64)
-    metadata = {key: np.array([row[key] for _, row in table])
+        [[parse_cell(path, line, c, float, row[c]) for c in prob_columns]
+         for line, row in rows], dtype=np.float64)
+    metadata = {key: np.array([row[key] for _, row in rows])
                 for key in _PREDICTION_METADATA if key in header}
     return labels, probabilities, metadata
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import container
 from .data import Dataset
-from .errors import ConfigError, FormatError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError, check_fields
 from .fusion import EnsembleModel, multi_loss
 from .rngutil import member_seed, named_stream
 from .tensor import Parameter, Tape, Tensor, backward, weighted_nll, weighted_nll_sum
@@ -151,6 +151,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.batch_size < 2:
             raise ConfigError("batch size must be at least 2")
         if self.max_epochs < 1:

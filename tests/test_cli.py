@@ -2,6 +2,7 @@
 run-directory layout, report re-emission, and the 0/1/2 exit-code contract."""
 
 import csv
+import io
 import json
 import os
 import shutil
@@ -14,7 +15,13 @@ import pytest
 
 import mvcrop
 from mvcrop.cli import main
-from mvcrop.data import SynthSpec, load_dataset, save_dataset, synth_generate
+from mvcrop.data import (
+    SynthSpec,
+    entropy_report,
+    load_dataset,
+    save_dataset,
+    synth_generate,
+)
 
 TINY_OPTIONS = {
     "hidden": 8,
@@ -137,6 +144,20 @@ class TestEntropy:
         assert lines[0] == "view,feature,entropy"
         assert len(lines) == 1 + 11 + 2  # optical channels + radar channels
 
+    def test_csv_output_bytes_match_a_plain_csv_writer(self, capsys,
+                                                       data_path, tmp_path):
+        out = tmp_path / "entropy.csv"
+        assert run_cli(capsys, "entropy", "--data", str(data_path),
+                       "--out", str(out))[0] == 0
+        report = entropy_report(load_dataset(data_path), segments=2)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("view", "feature", "entropy"))
+        for view, values in report.per_feature.items():
+            for feature, value in enumerate(values):
+                writer.writerow((view, feature, repr(float(value))))
+        assert out.read_bytes() == expected.getvalue().encode()
+
     def test_missing_file_is_validation_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "entropy", "--data",
                                str(tmp_path / "nope.mvds"))
@@ -244,6 +265,31 @@ class TestImport:
         assert message in err and "runtime error" not in err
         assert not (tmp_path / "x.mvds").exists()
 
+    @pytest.mark.parametrize("name, edit", [
+        ("labels.csv", lambda blob: blob.replace(b"s1,", b"s\xff1,")),
+        ("a.csv", lambda blob: blob.replace(b"s2,", b"s2\xfe,")),
+        ("labels.csv",
+         lambda blob: blob.replace(b"2016", b"1" * 140_000, 1)),
+        ("a.csv", lambda blob: blob.replace(b",0.1,", b",nan,", 1)),
+        ("labels.csv", lambda blob: blob.replace(b"s1,1,", b"s1,7,")),
+        ("labels.csv", lambda blob: blob + b"s0,1,2016\n"),
+        ("manifest.json",
+         lambda blob: blob.replace(b"labels.csv", b"labels\xff.csv")),
+    ], ids=["labels-non-utf8", "view-non-utf8", "labels-long-field",
+            "view-nan", "label-out-of-range", "labels-repeated-id",
+            "manifest-non-utf8"])
+    def test_malformed_input_exits_1_naming_the_file(
+            self, capsys, tmp_path, name, edit):
+        self.make_csvs(tmp_path)
+        manifest = self.make_manifest(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(edit(path.read_bytes()))
+        code, _, err = run_cli(capsys, "import", "--manifest", str(manifest),
+                               "--out", str(tmp_path / "x.mvds"))
+        assert code == 1
+        assert name in err and "runtime error" not in err
+        assert not (tmp_path / "x.mvds").exists()
+
     def test_bad_manifest_json_is_validation_error(self, capsys, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text("{not json")
@@ -344,6 +390,40 @@ class TestTrain:
         code, _, err = run_cli(capsys, "train", "--config", str(config))
         assert code == 1
         assert "wrong value type" in err and "unknown" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ({"gamma": "x"}, "gamma must be a number"),
+        ({"gamma": True}, "gamma must be a number"),
+        ({"train": {"class_weighting": "no"}},
+         "class_weighting must be of type bool"),
+        ({"train": {"class_weighting": 0}},
+         "class_weighting must be of type bool"),
+        ({"repetitions": "2"}, "repetitions must be a non-negative integer"),
+        ({"train": {"batch_size": "2"}},
+         "batch_size must be a non-negative integer"),
+        ({"encoder_options": {**TINY_OPTIONS, "hidden": "2"}},
+         "hidden must be a non-negative integer"),
+    ], ids=["gamma-str", "gamma-bool", "class-weighting-str",
+            "class-weighting-int", "repetitions-str", "batch-size-str",
+            "hidden-str"])
+    def test_wrong_scalar_type_names_the_field(
+            self, capsys, data_path, tmp_path, override, message):
+        config = write_config(tmp_path / "config.json", data_path,
+                              tmp_path / "run", **override)
+        code, _, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 1
+        assert f"wrong value type: {message}" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_undecodable_config_exits_1_naming_the_file(
+            self, capsys, data_path, tmp_path):
+        config = write_config(tmp_path / "config.json", data_path,
+                              tmp_path / "run")
+        config.write_bytes(config.read_bytes().replace(b"GRU", b"GR\xffU"))
+        code, _, err = run_cli(capsys, "train", "--config", str(config))
+        assert code == 1
+        assert "config.json" in err and "runtime error" not in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("override, message", [
@@ -535,6 +615,24 @@ class TestReport:
         assert code == 1
         assert needle in err
         assert "runtime error" not in err
+
+
+    @pytest.mark.parametrize("name, edit", [
+        ("records.csv", lambda blob: blob.replace(b"GRU", b"GR\xffU", 1)),
+        ("records.csv", lambda blob: blob.replace(b"GRU", b"G" * 140_000, 1)),
+        ("reports/predictions.csv",
+         lambda blob: blob.replace(b"\n", b"\n\xfe", 1)),
+    ], ids=["records-non-utf8", "records-long-field",
+            "predictions-non-utf8"])
+    def test_unreadable_csv_exits_1_naming_the_file(
+            self, capsys, tmp_path, report_run, name, edit):
+        run_dir = tmp_path / "run"
+        shutil.copytree(report_run, run_dir)
+        path = run_dir / name
+        path.write_bytes(edit(path.read_bytes()))
+        code, _, err = run_cli(capsys, "report", "--records", str(run_dir))
+        assert code == 1
+        assert path.name in err and "runtime error" not in err
 
 
 class TestConsoleEntry:

@@ -2,12 +2,18 @@
 resampling, spectral entropy, the synthetic generator, and splits."""
 
 import json
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvcrop import container
+from mvcrop.cli import main
 from mvcrop.data import (
     Dataset,
     EntropyReport,
@@ -722,6 +728,188 @@ class TestImportCsv:
         path = tmp_path / "imported.mvds"
         save_dataset(ds, path)
         assert_datasets_equal(ds, load_dataset(path))
+
+    def test_repeated_label_id_rejected(self, tmp_path):
+        views, labels_path, _, _ = small_csv_corpus(tmp_path)
+        with open(labels_path, "a") as fh:
+            fh.write("a1,1,kenya,africa,2016,1.5,36.8,0\n")
+        with pytest.raises(FormatError, match=r"labels\.csv line 5: duplicate id 'a1'"):
+            import_csv(views, labels_path, SMALL_SCHEMAS, task="binary", classes=2)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "3.5e38", "1e400"])
+    def test_view_value_the_dataset_cannot_hold_rejected(self, tmp_path, text):
+        views, labels_path, _, _ = small_csv_corpus(tmp_path)
+        lines = (tmp_path / "spectra.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = text
+        lines[2] = ",".join(cells)
+        (tmp_path / "spectra.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"spectra\.csv line 3: cannot read v002"):
+            import_csv(views, labels_path, SMALL_SCHEMAS, task="binary", classes=2)
+
+    @pytest.mark.parametrize("column, text", [
+        ("latitude", "nan"), ("longitude", "-inf"), ("year", "9223372036854775808"),
+        ("is_test", "1.0")])
+    def test_metadata_value_the_dataset_cannot_hold_rejected(self, tmp_path, column, text):
+        views, labels_path, _, _ = small_csv_corpus(tmp_path)
+        lines = labels_path.read_text().splitlines()
+        index = lines[0].split(",").index(column)
+        cells = lines[3].split(",")
+        cells[index] = text
+        lines[3] = ",".join(cells)
+        labels_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=rf"labels\.csv line 4: cannot read {column}"):
+            import_csv(views, labels_path, SMALL_SCHEMAS, task="binary", classes=2)
+
+    @pytest.mark.parametrize("label", ["2", "7", "-1"])
+    def test_label_out_of_range_names_file_and_line(self, tmp_path, label):
+        views, labels_path, _, _ = small_csv_corpus(tmp_path)
+        text = labels_path.read_text().replace("b2,1,", f"b2,{label},")
+        labels_path.write_text(text)
+        with pytest.raises(FormatError, match=r"labels\.csv line 3: label"):
+            import_csv(views, labels_path, SMALL_SCHEMAS, task="binary", classes=2)
+
+    def test_no_label_id_with_every_view_names_the_label_file(self, tmp_path):
+        views, labels_path, spectra, terrain = small_csv_corpus(tmp_path)
+        write_view_csv(views["spectra"], ["a1"], [spectra[0]])
+        write_view_csv(views["terrain"], ["b2", "c3"], [terrain[1], terrain[2]])
+        with pytest.warns(UserWarning, match="3 sample"), \
+                pytest.raises(FormatError, match=r"labels\.csv: no label id"):
+            import_csv(views, labels_path, SMALL_SCHEMAS, task="binary", classes=2)
+
+
+def _mutation_corpus() -> dict:
+    """File name -> rows of cells (header first) of a valid CSV corpus."""
+    rng = np.random.default_rng(11)
+    ids = ["a1", "b2", "c3", "d4"]
+    corpus = {}
+    for name, width in (("spectra.csv", 6), ("terrain.csv", 2)):
+        values = rng.normal(size=(len(ids), width)).round(4)
+        corpus[name] = [["id", *(f"v{i}" for i in range(width))]] + [
+            [sid, *map(repr, row.tolist())] for sid, row in zip(ids, values)]
+    corpus["labels.csv"] = [
+        ["id", "label", "country", "continent", "year", "latitude", "longitude",
+         "is_test"],
+        ["a1", "0", "kenya", "africa", "2016", "1.5", "36.8", "0"],
+        ["b2", "1", "brazil", "america", "2017", "-10.25", "-48.3", "0"],
+        ["c3", "1", "india", "asia", "2018", "20.0", "77.0", "1"],
+        ["d4", "0", "france", "europe", "2019", "46.5", "2.25", "1"],
+    ]
+    return corpus
+
+
+MUTATION_CORPUS = _mutation_corpus()
+# Texts that no cell of the given column kind may hold.
+_BAD_FLOATS = ["", "x", "1.2.3", "nan", "-NaN", "inf", "-Infinity", "3.5e38",
+               "-1e39", "1e400", "0x1p3"]
+_BAD_INTS = ["", "x", "1.5", "1e3", "nan", "0x1", "9223372036854775808",
+             "-9223372036854775809"]
+_BAD_CELLS = {"latitude": _BAD_FLOATS, "longitude": _BAD_FLOATS,
+              "year": _BAD_INTS, "is_test": _BAD_INTS,
+              "label": _BAD_INTS + ["2", "7", "-1"]}
+MUTATIONS = ("cell", "drop-column", "drop-header-cell", "extra-column",
+             "repeat-column", "ragged-row", "duplicate-id", "non-utf8",
+             "long-field", "empty", "blank-lines", "crlf", "no-final-newline")
+BENIGN = ("blank-lines", "crlf", "no-final-newline")
+
+
+@st.composite
+def mutated_file(draw, kind):
+    """(file name, bytes) of one corpus file mutated by ``kind``."""
+    name = draw(st.sampled_from(sorted(MUTATION_CORPUS)))
+    table = [list(row) for row in MUTATION_CORPUS[name]]
+    header, n = table[0], len(table)
+    row = draw(st.integers(1, n - 1))
+    if kind == "cell":
+        columns = ([c for c in header if c in _BAD_CELLS] if name == "labels.csv"
+                   else header[1:])
+        column = header.index(draw(st.sampled_from(columns)))
+        table[row][column] = draw(st.sampled_from(
+            _BAD_CELLS.get(header[column], _BAD_FLOATS)))
+    elif kind == "drop-column":
+        # a labels file without a metadata column is valid, so drop id or label
+        column = draw(st.integers(0, 1 if name == "labels.csv" else len(header) - 1))
+        for cells in table:
+            del cells[column]
+    elif kind == "drop-header-cell":
+        del header[draw(st.integers(0, len(header) - 1))]
+    elif kind in ("extra-column", "repeat-column"):
+        column = draw(st.integers(0, len(header) - 1))
+        for cells in table:
+            cells.append(cells[column] if kind == "repeat-column"
+                         else "extra" if cells is header else "0")
+    elif kind == "ragged-row":
+        table[row] = table[row][:-1] if draw(st.booleans()) else table[row] + ["0"]
+    elif kind == "duplicate-id":
+        other = draw(st.integers(1, n - 1).filter(lambda i: i != row))
+        table[row][0] = table[other][0]
+    elif kind == "long-field":
+        table[row][draw(st.integers(0, len(header) - 1))] = "1" * 140_000
+    lines = [",".join(cells) for cells in table]
+    if kind == "blank-lines":
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(1, len(lines))), "")
+    text = "\n".join(lines) + "\n"
+    if kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind == "no-final-newline":
+        text = text[:-1]
+    blob = text.encode()
+    if kind == "non-utf8":
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + blob[at:]
+    elif kind == "empty":
+        blob = b""
+    return name, blob
+
+
+def _import_corpus(directory, files):
+    for name, blob in files.items():
+        (directory / name).write_bytes(blob)
+    return import_csv({"spectra": directory / "spectra.csv",
+                       "terrain": directory / "terrain.csv"},
+                      directory / "labels.csv", SMALL_SCHEMAS, task="binary",
+                      classes=2)
+
+
+def _corpus_bytes():
+    return {name: ("\n".join(",".join(cells) for cells in table) + "\n").encode()
+            for name, table in MUTATION_CORPUS.items()}
+
+
+class TestImportCsvMutations:
+    """``import_csv`` over one mutated file of a valid corpus either loads
+    what the corpus loads (the mutation is benign) or raises FormatError."""
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_outcome_is_the_corpus_load_or_format_error(self, kind, data):
+        name, blob = data.draw(mutated_file(kind))
+        with tempfile.TemporaryDirectory() as tmp:
+            reference = _import_corpus(Path(tmp), _corpus_bytes())
+            files = {**_corpus_bytes(), name: blob}
+            if kind in BENIGN:
+                assert_datasets_equal(_import_corpus(Path(tmp), files), reference)
+            else:
+                with pytest.raises(FormatError, match=re.escape(name)):
+                    _import_corpus(Path(tmp), files)
+
+    def test_mutated_import_exits_1_through_the_cli(self, capsys, tmp_path):
+        files = {**_corpus_bytes(), "terrain.csv": b"id,v0,v1\nb2,0.5,\xff\n"}
+        for name, blob in files.items():
+            (tmp_path / name).write_bytes(blob)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "labels": "labels.csv",
+            "views": {"spectra": "spectra.csv", "terrain": "terrain.csv"},
+            "schemas": {"spectra": {"channels": 2, "steps": 3},
+                        "terrain": {"temporal": False, "channels": 2}}}))
+        code = main(["import", "--manifest", str(manifest), "--out",
+                     str(tmp_path / "x.mvds")])
+        assert code == 1
+        assert "terrain.csv" in capsys.readouterr().err
+        assert not (tmp_path / "x.mvds").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,50 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(data)
 
 
+class TestConfigFieldTypes:
+    """Each config object checks its own ``int``, ``float`` and ``bool``
+    fields on construction, from Python as from a config file."""
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: ExperimentConfig(repetitions=2.5), "repetitions"),
+        (lambda: ExperimentConfig(jobs=True), "jobs"),
+        (lambda: ExperimentConfig(seed_base=-1), "seed_base"),
+        (lambda: ExperimentConfig(gamma="0.3"), "gamma"),
+        (lambda: ExperimentConfig(test_fraction=False), "test_fraction"),
+        (lambda: TrainConfig(batch_size=16.0), "batch_size"),
+        (lambda: TrainConfig(seed=True), "seed"),
+        (lambda: TrainConfig(learning_rate=None), "learning_rate"),
+        (lambda: TrainConfig(class_weighting=1), "class_weighting"),
+        (lambda: EncoderConfig("GRU", hidden=3.5), "hidden"),
+        (lambda: EncoderConfig("GRU", dropout=True), "dropout"),
+        (lambda: EncoderConfig("GRU", value_split="no"), "value_split"),
+    ], ids=["repetitions-float", "jobs-bool", "seed-base-negative",
+            "gamma-str", "test-fraction-bool", "batch-size-float",
+            "seed-bool", "learning-rate-none", "class-weighting-int",
+            "hidden-float", "dropout-bool", "value-split-str"])
+    def test_wrong_type_names_the_field(self, build, field):
+        with pytest.raises(ConfigError,
+                           match=rf"^wrong value type: {field} must be"):
+            build()
+
+    def test_nested_construction_names_the_first_bad_field(self):
+        with pytest.raises(ConfigError, match="batch_size"):
+            ExperimentConfig(repetitions=2.5, jobs=True,
+                             train=TrainConfig(batch_size=16.0))
+        with pytest.raises(ConfigError, match="repetitions"):
+            ExperimentConfig(repetitions=2.5, jobs=True)
+
+    def test_integers_hold_float_fields(self):
+        config = ExperimentConfig(gamma=1, train=TrainConfig(learning_rate=1,
+                                                              min_delta=0))
+        assert (config.gamma, config.train.learning_rate) == (1, 1)
+        assert EncoderConfig("GRU", dropout=0).dropout == 0
+
+    def test_encoder_options_are_checked_by_the_encoder_config(self):
+        with pytest.raises(ConfigError, match="hidden must be a non-negative"):
+            ExperimentConfig(encoder_options={"hidden": "2"})
+
+
 class TestFingerprint:
     def test_stable(self):
         a = ExperimentConfig(seed_base=7)

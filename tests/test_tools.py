@@ -86,5 +86,5 @@ def test_smoke_against_head_is_identical():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(proc.stdout)
     assert report["ok"] is True
-    assert report["threads"]["1"]["files"] == 20
+    assert report["threads"]["1"]["files"] == 34
     assert report["threads"]["1"]["differences"] == []

@@ -17,9 +17,19 @@ fixed matrix with that tree's ``mvcrop``:
 - seven ``run_cell`` configs (``CELLS``), two repetitions each;
 - ``early-stop``: an LSTM Feature cell, two repetitions, trained up to 12
   epochs at learning rate 5e-2 with patience 2, so that early stopping
-  fires and the validation loss decides which epoch's parameters are kept.
+  fires and the validation loss decides which epoch's parameters are kept;
+- ``import``: the matrix dataset written by this script's own ``csv``
+  module as one CSV per view (``repr`` floats) plus a labels CSV with all
+  six metadata columns, so that both trees read identical bytes; the last
+  three samples lack their ``weather`` row and the labels file ends in a
+  blank line. ``import_csv`` reads them and ``save_dataset`` writes
+  ``import/dataset.mvds``;
+- ``report``: ``reemit_reports`` over a copy of the manifest, records and
+  per-sample predictions of ``grid`` (of the first smoke cell with
+  ``--smoke``).
 
-``--smoke`` runs only ``SMOKE_CELLS`` at one repetition. Every output file
+``--smoke`` runs only ``SMOKE_CELLS`` at one repetition, then ``import``
+and ``report``. Every output file
 is hashed with sha256. Before hashing, a manifest's ``created`` and
 ``output_dir`` values are blanked, and in ``timings.csv`` every non-empty
 seconds cell becomes ``*``: its header and its ``cell``, ``phase``, ``view``
@@ -41,6 +51,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -68,6 +79,55 @@ CELLS = {
 }
 SMOKE_CELLS = ("gru-input-average", "ltae-feature-multiloss-gated")
 _BLANKED = re.compile(rb'("(?:created|output_dir)": )"[^"]*"')
+_METADATA_COLUMNS = ("country", "continent", "year", "latitude", "longitude",
+                     "is_test")
+
+
+def _write_rows(path: Path, header, rows) -> None:
+    """A CSV of ``repr`` floats and ``str`` of everything else."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(cell) if isinstance(cell, float) else str(cell)
+                          for cell in row] for row in rows)
+
+
+def import_run(dataset) -> None:
+    """Write ``dataset`` as CSVs into ``import/``, import them back and save
+    the result as ``import/dataset.mvds``."""
+    from mvcrop.data import import_csv, save_dataset
+
+    out = Path("import")
+    out.mkdir()
+    ids = [f"s{i:03d}" for i in range(len(dataset))]
+    for schema in dataset.schemas:
+        values = dataset.arrays[schema.name].reshape(len(dataset), -1).tolist()
+        kept = len(ids) - 3 if schema.name == "weather" else len(ids)
+        _write_rows(out / f"{schema.name}.csv",
+                    ["id", *(f"c{j}" for j in range(len(values[0])))],
+                    ([sid, *row] for sid, row in zip(ids[:kept], values)))
+    metadata = [dataset.metadata[key].tolist() for key in _METADATA_COLUMNS]
+    _write_rows(out / "labels.csv", ["id", "label", *_METADATA_COLUMNS],
+                zip(ids, dataset.labels.tolist(), *metadata))
+    with open(out / "labels.csv", "a") as handle:
+        handle.write("\n")
+    imported = import_csv(
+        {schema.name: out / f"{schema.name}.csv" for schema in dataset.schemas},
+        out / "labels.csv", dataset.schemas, task=dataset.task,
+        classes=dataset.classes)
+    save_dataset(imported, out / "dataset.mvds")
+
+
+def report_run(source: str) -> None:
+    """Rebuild the report tables of run ``source`` in ``report/`` from a
+    copy of its manifest, records and per-sample predictions."""
+    from mvcrop.experiments import reemit_reports
+
+    for name in ("manifest", "records.csv", "reports/predictions.csv"):
+        target = Path("report", name)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(Path(source, name), target)
+    reemit_reports("report")
 
 
 def run_matrix(smoke: bool) -> None:
@@ -115,9 +175,14 @@ def run_matrix(smoke: bool) -> None:
                  ("search", run_search, dict(repetitions=1)),
                  ("baselines", single_view_baselines,
                   dict(repetitions=1, encoder="TAE"))]
-    for name, runner, fields in runs:
+    steps = [(name, lambda runner=runner, name=name, fields=fields: runner(
+        dataset, replace(config, output_dir=name, **fields)))
+        for name, runner, fields in runs]
+    steps += [("import", lambda: import_run(dataset)),
+              ("report", lambda: report_run(SMOKE_CELLS[0] if smoke else "grid"))]
+    for name, step in steps:
         try:
-            runner(dataset, replace(config, output_dir=name, **fields))
+            step()
         except Exception as exc:  # an identical failure is identical output
             Path(name).mkdir(parents=True, exist_ok=True)
             Path(name, "error.txt").write_text(
