@@ -514,13 +514,13 @@ _CELL_LIMITS = {int: 2 ** 63, float: 2.0 ** 128 - 2.0 ** 103}
 
 
 def read_csv(path, required=()) -> tuple[list, list]:
-    """A UTF-8 CSV file's header and ``(line, cells)`` pairs, blank rows
-    skipped. FormatError names the file, and the line where there is one,
-    for undecodable bytes, a malformed or over-long field, a header that
-    lacks a ``required`` column or names a column twice, and a row whose
-    length differs from the header's."""
+    """A UTF-8 CSV file's header and ``(line, cells)`` pairs, a leading
+    byte-order mark and blank rows skipped. FormatError names the file, and
+    the line where there is one, for undecodable bytes, a malformed or
+    over-long field, a header that lacks a ``required`` column or names a
+    column twice, and a row whose length differs from the header's."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, [])
             rows = [(reader.line_num, cells) for cells in reader if cells]

@@ -432,19 +432,6 @@ def multi_loss(fused_loss: Tensor, view_losses: list[Tensor],
     return fused_loss + sum(view_losses[1:], view_losses[0]) * gamma
 
 
-def formula_count(strategy: str, n_encoder: int, n_head: int, views: int) -> int:
-    """Closed-form parameter totals for width-preserving merges."""
-    if strategy == "Input":
-        return n_encoder + n_head
-    if strategy == "Feature":
-        return views * n_encoder + n_head
-    if strategy in ("Decision", "Ensemble"):
-        return views * (n_encoder + n_head)
-    if strategy == "Hybrid":
-        return views * (n_encoder + n_head) + n_head
-    raise ConfigError(f"unknown strategy {strategy!r}")
-
-
 def build_model(views: list[ViewSchema], strategy: str, config: EncoderConfig,
                 classes: int, merge: str | None = None,
                 component: str | None = None, gamma: float = 0.3) -> MVLModel:

@@ -32,10 +32,11 @@ class Module:
     def _walk(self, prefix: str = "") -> list:
         """Pre-order ``(path, node)`` pairs over the module tree.
 
-        The tree is this module, at ``prefix``, and every Parameter or
-        Module held in a public attribute, directly or inside a list, tuple
-        or dict, in attribute order. A Parameter's path is its name; a
-        Module's path is the prefix of its members' names (``head.``).
+        The tree is this module, at ``prefix``, every Parameter held
+        directly in a public attribute and every Module held in one,
+        directly or inside a list, tuple or dict, in attribute order. A
+        Parameter's path is its name; a Module's path is the prefix of its
+        members' names (``head.``).
         """
         out: list = [(prefix, self)]
         for attr, obj in self.__dict__.items():
@@ -50,8 +51,6 @@ class Module:
                 for key, item in items:
                     if isinstance(item, Module):
                         out += item._walk(f"{prefix}{attr}.{key}.")
-                    elif isinstance(item, Parameter):
-                        out.append((f"{prefix}{attr}.{key}", item))
         return out
 
     def named_parameters(self, prefix: str = "") -> dict[str, Parameter]:

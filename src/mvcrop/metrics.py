@@ -80,14 +80,6 @@ def cohen_kappa(cm: np.ndarray) -> float:
     return numerator / denominator
 
 
-def kappa_binary_closed_form(tp: int, fn: int, fp: int, tn: int) -> float:
-    """Binary kappa as 2(TP*TN - FN*FP) / ((TP+FP)(FP+TN) + (TP+FN)(FN+TN))."""
-    denominator = (tp + fp) * (fp + tn) + (tp + fn) * (fn + tn)
-    if denominator == 0:
-        raise NumericError("kappa undefined: chance agreement is 1")
-    return 2 * (tp * tn - fn * fp) / denominator
-
-
 @dataclass(frozen=True)
 class F1Report:
     precision: tuple

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -93,22 +93,10 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     def __add__(self, other):
         return add(self, other)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -117,9 +105,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _make(data) -> Tensor:
@@ -181,15 +166,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = _make(a.data - b.data)
-    if _recording(a, b):
-        _record((a, b), out,
-                lambda g: (_unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)))
-    return out
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = _make(a.data * b.data)
@@ -210,29 +186,9 @@ def div(a, b) -> Tensor:
     return out
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    out = _make(-a.data)
-    if _recording(a):
-        _record((a,), out, lambda g: (-g,))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and convolution
 # ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out = _make(a.data @ b.data)
-    if _recording(a, b):
-        _record((a, b), out, lambda g: (g @ b.data.T, a.data.T @ g))
-    return out
-
 
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` over the last axis of ``x`` (any leading shape), one record.
@@ -544,24 +500,6 @@ def attention_pool(query, keys, values, key_dim: int) -> tuple[Tensor, Tensor]:
 # activations and softmax
 # ---------------------------------------------------------------------------
 
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    y = _sigmoid(x.data)
-    out = _make(y)
-    if _recording(x):
-        _record((x,), out, lambda g: (g * y * (1.0 - y),))
-    return out
-
-
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    y = np.tanh(x.data)
-    out = _make(y)
-    if _recording(x):
-        _record((x,), out, lambda g: (g * (1.0 - y * y),))
-    return out
-
-
 def relu(x) -> Tensor:
     x = as_tensor(x)
     mask = x.data > 0.0
@@ -587,19 +525,6 @@ def softmax(x, axis: int = -1) -> Tensor:
     out = _make(y)
     if _recording(x):
         _record((x,), out, lambda g: (_softmax_grad(g, y, axis),))
-    return out
-
-
-def safe_log(x, floor: float = 1e-12) -> Tensor:
-    """log(max(x, floor)); gradient is zero on the clamped region."""
-    if floor <= 0:
-        raise ConfigError("safe_log floor must be positive")
-    x = as_tensor(x)
-    clamped = np.maximum(x.data, floor)
-    out = _make(np.log(clamped))
-    if _recording(x):
-        mask = x.data > floor
-        _record((x,), out, lambda g: (g * mask / clamped,))
     return out
 
 
@@ -650,11 +575,6 @@ def reshape(x, shape) -> Tensor:
     return out
 
 
-def flatten(x) -> Tensor:
-    x = as_tensor(x)
-    return reshape(x, (x.size,))
-
-
 def broadcast_to(x, shape) -> Tensor:
     x = as_tensor(x)
     out = _make(np.ascontiguousarray(np.broadcast_to(x.data, tuple(shape))))
@@ -691,24 +611,6 @@ def narrow(x, start: int, stop: int, axis: int = 0) -> Tensor:
 
         _record((x,), out, backward)
     return out
-
-
-def split(x, sizes: Iterable[int], axis: int = 0) -> list[Tensor]:
-    sizes = list(sizes)
-    x = as_tensor(x)
-    if sum(sizes) != x.shape[axis]:
-        raise ShapeError(f"split sizes {sizes} do not cover axis {axis} of {x.shape}")
-    out, off = [], 0
-    for s in sizes:
-        out.append(narrow(x, off, off + s, axis))
-        off += s
-    return out
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    expanded = [reshape(t, t.shape[:axis] + (1,) + t.shape[axis:]) for t in ts]
-    return concat(expanded, axis=axis)
 
 
 def _reduce_axes(axis, ndim):
@@ -748,30 +650,6 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     if _recording(x):
         _record((x,), out,
                 lambda g: (_spread(g, x.shape, axes, keepdims) / count,))
-    return out
-
-
-def reduce_max(x, axis=None, keepdims: bool = False) -> Tensor:
-    """Max reduction; the subgradient routes to the first argmax position."""
-    x = as_tensor(x)
-    axes = _reduce_axes(axis, x.ndim)
-    if len(axes) != x.ndim and len(axes) != 1:
-        raise ShapeError("reduce_max supports a single axis or full reduction")
-    out = _make(x.data.max(axis=axes if len(axes) > 1 else axes[0], keepdims=keepdims))
-    if _recording(x):
-        def backward(g: Array):
-            gx = np.zeros(x.shape)
-            if len(axes) == x.ndim:
-                idx = np.unravel_index(np.argmax(x.data), x.shape)
-                gx[idx] = np.asarray(g).reshape(())
-            else:
-                a = axes[0]
-                idx = np.expand_dims(np.argmax(x.data, axis=a), a)
-                gg = g if keepdims else np.expand_dims(g, a)
-                np.put_along_axis(gx, idx, gg, axis=a)
-            return (gx,)
-
-        _record((x,), out, backward)
     return out
 
 

@@ -284,8 +284,6 @@ def train(model, dataset: Dataset, config: TrainConfig) -> TrainResult:
         for start in range(0, n_train, config.batch_size):
             chunk = order[start : start + config.batch_size]
             if chunk.size == 1:
-                if n_train == 1:
-                    raise ConfigError("training split too small to batch")
                 continue  # drop the trailing singleton batch
             y = train_part.labels[chunk]
             with Tape() as tape:

@@ -769,6 +769,20 @@ class TestImportCsv:
         with pytest.raises(FormatError, match=r"labels\.csv line 3: label"):
             import_csv(views, labels_path, SMALL_SCHEMAS, task="binary", classes=2)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """A view CSV and a labels CSV that start with a UTF-8 byte-order
+        mark, as spreadsheet exports often do, import to the same bytes as
+        the same files without one."""
+        views, labels_path, _, _ = small_csv_corpus(tmp_path)
+        plain, marked = tmp_path / "plain.mvds", tmp_path / "marked.mvds"
+        save_dataset(import_csv(views, labels_path, SMALL_SCHEMAS, task="binary",
+                                classes=2), plain)
+        for path in (views["spectra"], labels_path):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        save_dataset(import_csv(views, labels_path, SMALL_SCHEMAS, task="binary",
+                                classes=2), marked)
+        assert marked.read_bytes() == plain.read_bytes()
+
     def test_no_label_id_with_every_view_names_the_label_file(self, tmp_path):
         views, labels_path, spectra, terrain = small_csv_corpus(tmp_path)
         write_view_csv(views["spectra"], ["a1"], [spectra[0]])
@@ -1031,6 +1045,19 @@ class TestStratifiedSplit:
         assert set(np.unique(test.labels)) == {0, 1}
         assert int(np.sum(test.labels == 1)) == 3
         assert int(np.sum(test.labels == 0)) == 27
+
+    def test_minority_class_taken_from_the_largest_test_quota(self):
+        """With 98 and 2 labels at fraction 0.1 the rounded quotas give the
+        test side 10 and 0; one test place moves from the majority class to
+        the minority class, so each class is on both sides."""
+        labels = np.array([0] * 98 + [1] * 2, dtype=np.int64)
+        ds = Dataset(task="binary", classes=2,
+                     schemas=(ViewSchema("sample_id", False, 1, None),),
+                     arrays={"sample_id": np.arange(100, dtype=np.float32)[:, None]},
+                     labels=labels, metadata={})
+        train, test = stratified_split(ds, 0.1, seed=0)
+        assert np.bincount(test.labels).tolist() == [9, 1]
+        assert np.bincount(train.labels).tolist() == [89, 1]
 
     def test_determinism(self):
         ds = synth_generate(SynthSpec("complementary", samples=60), seed=3)

@@ -15,11 +15,11 @@ from mvcrop.metrics import (
     evaluate,
     f1_scores,
     grouped_report,
-    kappa_binary_closed_form,
     one_vs_rest_counts,
     row_entropy,
     uncertainty,
 )
+from reference import kappa_binary_closed_form
 
 # binary convention: class 1 is the positive class, rows are true labels,
 # so cm = [[TN, FP], [FN, TP]]

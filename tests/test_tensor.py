@@ -1,6 +1,8 @@
 """Tensor-core oracles: frozen op values, tape semantics, gradient checks,
 and what the backward sweep releases."""
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mvcrop.errors import ConfigError, NumericError, ShapeError
 from mvcrop.fusion import build_model, multi_loss
 from mvcrop.training import weighted_cross_entropy
 from mvcrop.views import canonical_schema
+import reference as R
 
 
 @pytest.fixture
@@ -24,10 +27,10 @@ class TestMatmul:
     def test_identity(self):
         a = T.Tensor(np.eye(2))
         b = T.Tensor([[3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_allclose(T.matmul(a, b).data, b.data)
+        np.testing.assert_allclose(R.matmul(a, b).data, b.data)
 
     def test_dot_product(self):
-        out = T.matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
+        out = R.matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
         np.testing.assert_allclose(out.data, [[11.0]])
 
     def test_matches_triple_loop_oracle(self, rng):
@@ -38,13 +41,13 @@ class TestMatmul:
             for j in range(5):
                 for k in range(3):
                     want[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(T.matmul(T.Tensor(a), T.Tensor(b)).data, want, atol=1e-12)
+        np.testing.assert_allclose(R.matmul(T.Tensor(a), T.Tensor(b)).data, want, atol=1e-12)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 2))))
+            R.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 2))))
         with pytest.raises(ShapeError):
-            T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2))))
+            R.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2))))
 
 
 class TestConv:
@@ -67,12 +70,12 @@ class TestConv:
 
 class TestActivations:
     def test_frozen_values(self):
-        assert T.sigmoid(T.Tensor(0.0)).item() == 0.5
-        assert abs(T.tanh(T.Tensor(1.0)).item() - 0.7615941559557649) < 1e-12
-        assert T.relu(T.Tensor(-2.0)).item() == 0.0
+        assert float(R.sigmoid(T.Tensor(0.0)).data) == 0.5
+        assert abs(float(R.tanh(T.Tensor(1.0)).data) - 0.7615941559557649) < 1e-12
+        assert float(T.relu(T.Tensor(-2.0)).data) == 0.0
 
     def test_sigmoid_stable_at_extremes(self):
-        out = T.sigmoid(T.Tensor([-1000.0, 1000.0]))
+        out = R.sigmoid(T.Tensor([-1000.0, 1000.0]))
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
 
 
@@ -92,6 +95,25 @@ class TestSoftmax:
         assert abs(p.sum() - 1.0) < 1e-9
         assert (p >= 0).all()
         np.testing.assert_allclose(p, q, atol=1e-9)
+
+
+class TestWeightedNll:
+    def test_gradient_in_closed_form(self):
+        """``-w[y] / (B * p[y])`` on each label entry above the 1e-12 floor,
+        0 on the floored label entry and on every other entry."""
+        p = np.array([[0.7, 0.2, 0.1], [0.25, 0.5, 0.25],
+                      [1.0 - 1e-13, 1e-13, 0.0], [0.1, 0.3, 0.6]])
+        labels = np.array([0, 2, 1, 2])
+        weights = np.array([0.5, 1.0, 3.0])
+        leaf = T.Tensor(p, requires_grad=True)
+        with T.Tape() as tape:
+            loss = T.weighted_nll(leaf, labels, weights)
+        T.backward(loss, tape)
+        want = np.zeros(p.shape)
+        for row in (0, 1, 3):
+            want[row, labels[row]] = -weights[labels[row]] / (4 * p[row, labels[row]])
+        np.testing.assert_allclose(leaf.grad, want, rtol=1e-14, atol=0.0)
+        assert leaf.grad[2, 1] == 0.0
 
 
 def _batch_norm_reference(x, gamma, beta, g, eps=1e-5):
@@ -173,6 +195,14 @@ class TestNormalisation:
                                  np.zeros(3), np.ones(3), eps=0.0)
         np.testing.assert_allclose(out.data, x)
 
+    def test_batch_norm_infer_uses_running_statistics(self, rng):
+        x = rng.standard_normal((6, 3)) * 2.0
+        gamma, beta = np.array([0.5, -1.5, 2.0]), np.array([0.3, -0.2, 1.0])
+        mean, var = np.array([0.8, -1.2, 2.5]), np.array([0.25, 3.0, 9.0])
+        out = T.batch_norm_infer(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), mean, var)
+        want = gamma * (x - mean) / np.sqrt(var + 1e-5) + beta
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-14)
+
     def test_layer_norm_frozen(self):
         out = T.layer_norm(T.Tensor([[1.0, 3.0]]), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)))
         np.testing.assert_allclose(out.data[0], [-0.9999950000374997, 0.9999950000374997])
@@ -205,15 +235,15 @@ class TestShapesAndReductions:
         np.testing.assert_allclose(T.reduce_mean(T.Tensor([[1.0, 3.0]]), axis=1).data, [2.0])
         np.testing.assert_allclose(T.concat([T.Tensor([1.0, 2.0]), T.Tensor([3.0])]).data,
                                    [1.0, 2.0, 3.0])
-        assert T.flatten(T.Tensor(np.zeros((12, 64)))).shape == (768,)
-        assert T.reduce_max(T.Tensor([1.0, 5.0, 2.0])).item() == 5.0
+        assert R.flatten(T.Tensor(np.zeros((12, 64)))).shape == (768,)
+        assert float(R.reduce_max(T.Tensor([1.0, 5.0, 2.0])).data) == 5.0
 
     def test_split_roundtrip(self, rng):
         x = rng.standard_normal((4, 6))
-        parts = T.split(T.Tensor(x), [2, 3, 1], axis=1)
+        parts = R.split(T.Tensor(x), [2, 3, 1], axis=1)
         np.testing.assert_allclose(np.concatenate([p.data for p in parts], axis=1), x)
         with pytest.raises(ShapeError):
-            T.split(T.Tensor(x), [2, 2], axis=1)
+            R.split(T.Tensor(x), [2, 2], axis=1)
 
     def test_broadcast_to(self):
         out = T.broadcast_to(T.Tensor([[7.0, 9.0]]), (3, 2))
@@ -262,8 +292,8 @@ class TestTapeSemantics:
         x0 = rng.standard_normal((3, 4))
 
         def f(x):
-            h = T.relu(T.matmul(x, T.Tensor(w1)))
-            return T.reduce_sum(T.matmul(h, T.Tensor(w2)))
+            h = T.relu(R.matmul(x, T.Tensor(w1)))
+            return T.reduce_sum(R.matmul(h, T.Tensor(w2)))
 
         res = T.grad_check(f, T.Tensor(x0))
         assert res.ok, res.max_rel_err
@@ -280,15 +310,15 @@ class TestGradCheckHarness:
 
         def f(x):
             p = T.softmax(x, axis=1)
-            lp = T.safe_log(p)
-            return T.neg(T.reduce_mean(T.reduce_sum(T.mul(lp, T.Tensor(onehot)), axis=1)))
+            lp = R.safe_log(p)
+            return R.neg(T.reduce_mean(T.reduce_sum(T.mul(lp, T.Tensor(onehot)), axis=1)))
 
         assert T.grad_check(f, T.Tensor(logits)).ok
 
     def test_nonfinite_rejected(self):
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
-                T.grad_check(lambda x: T.div(x, T.sub(x, x)), T.Tensor(2.0))
+                T.grad_check(lambda x: T.div(x, R.sub(x, x)), T.Tensor(2.0))
 
 
 OP_CASES = {}
@@ -319,23 +349,23 @@ def _op_cases(rng):
     cases = [
         ("add", lambda x: T.reduce_sum(T.add(x, T.Tensor(w))), mk((3, 4))),
         ("add_broadcast", lambda x: T.reduce_sum(T.add(T.Tensor(w), x)), mk(4)),
-        ("sub", lambda x: T.reduce_sum(T.sub(T.Tensor(w), x)), mk((3, 4))),
+        ("sub", lambda x: T.reduce_sum(R.sub(T.Tensor(w), x)), mk((3, 4))),
         ("mul", lambda x: T.reduce_sum(T.mul(x, T.Tensor(w))), mk((3, 4))),
         ("div", lambda x: T.reduce_sum(T.div(T.Tensor(w), x)), mk((3, 4)) + 3.0),
-        ("neg", lambda x: T.reduce_sum(T.neg(x)), mk(5)),
-        ("matmul_l", lambda x: T.reduce_sum(T.matmul(x, m_r)), mk((3, 4))),
-        ("matmul_r", lambda x: T.reduce_sum(T.matmul(m_l, x)), mk((3, 4))),
+        ("neg", lambda x: T.reduce_sum(R.neg(x)), mk(5)),
+        ("matmul_l", lambda x: T.reduce_sum(R.matmul(x, m_r)), mk((3, 4))),
+        ("matmul_r", lambda x: T.reduce_sum(R.matmul(m_l, x)), mk((3, 4))),
         ("conv_x", lambda x: T.reduce_sum(T.conv1d_same(x, T.Tensor(conv_w), conv_b)),
          mk((2, 6, 3))),
         ("conv_w", lambda x: T.reduce_sum(T.conv1d_same(conv_x, x, conv_b)), conv_w.copy()),
-        ("sigmoid", lambda x: T.reduce_sum(T.sigmoid(x)), mk(6)),
-        ("tanh", lambda x: T.reduce_sum(T.tanh(x)), mk(6)),
+        ("sigmoid", lambda x: T.reduce_sum(R.sigmoid(x)), mk(6)),
+        ("tanh", lambda x: T.reduce_sum(R.tanh(x)), mk(6)),
         ("relu", lambda x: T.reduce_sum(T.relu(x)), mk(6) + 0.3),
         ("softmax", lambda x: T.reduce_sum(T.mul(T.softmax(x, axis=1), proj34)), mk((3, 4))),
-        ("safe_log", lambda x: T.reduce_sum(T.safe_log(x)), np.abs(mk(5)) + 0.5),
+        ("safe_log", lambda x: T.reduce_sum(R.safe_log(x)), np.abs(mk(5)) + 0.5),
         ("reduce_sum", lambda x: T.reduce_sum(x), mk((2, 3))),
         ("reduce_mean_ax", lambda x: T.reduce_sum(T.reduce_mean(x, axis=0)), mk((4, 3))),
-        ("reduce_max", lambda x: T.reduce_sum(T.reduce_max(x, axis=1)), mk((3, 5))),
+        ("reduce_max", lambda x: T.reduce_sum(R.reduce_max(x, axis=1)), mk((3, 5))),
         ("concat", lambda x: T.reduce_sum(T.mul(T.concat([x, x], axis=0), proj62)), mk((3, 2))),
         ("narrow", lambda x: T.reduce_sum(T.narrow(x, 1, 3, axis=1)), mk((2, 5))),
         ("reshape", lambda x: T.reduce_sum(T.mul(T.reshape(x, (6,)), proj6)), mk((2, 3))),
@@ -392,7 +422,7 @@ def test_sigmoid_matches_two_branch_formula_bit_for_bit():
                         [0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 745.0, -745.0,
                          800.0, -800.0, np.inf, -np.inf]])
     with np.errstate(over="raise"):
-        got = T.sigmoid(T.Tensor(x)).data
+        got = R.sigmoid(T.Tensor(x)).data
     assert np.array_equal(got.view(np.int64), _masked_sigmoid(x).view(np.int64))
 
 
@@ -412,7 +442,7 @@ class TestUntapedFastPath:
             assert type(out.data) is np.ndarray and out.data.dtype == np.float64
         for full in outs[4:6]:
             assert full.data.shape == ()  # a 0-d array, not a numpy scalar
-        assert outs[4].item() == 15.0 and outs[5].item() == 2.5
+        assert float(outs[4].data) == 15.0 and float(outs[5].data) == 2.5
 
     def test_untaped_result_is_a_constant_under_a_later_tape(self):
         leaf = T.Tensor(np.ones(3), requires_grad=True)
@@ -429,10 +459,10 @@ class TestUntapedFastPath:
         w = T.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         constant = T.Tensor(rng.standard_normal((4, 2)))
         with T.Tape() as tape:
-            h = T.relu(T.matmul(x, w))                          # 2
+            h = T.relu(R.matmul(x, w))                          # 2
             p = T.softmax(T.add(h, constant), axis=1)           # 2
             skip = T.mul(constant, constant)                    # untracked: 0
-            loss = T.reduce_mean(T.mul(T.safe_log(p), skip))    # 3
+            loss = T.reduce_mean(T.mul(R.safe_log(p), skip))    # 3
         assert len(tape.records) == 7
         assert skip.requires_grad is False and loss.requires_grad is True
 
@@ -445,16 +475,16 @@ def _gru_steps(x, w_in, w_hid, b_in, b_hid):
     hs = []
     for t in range(x.shape[1]):
         x_t = T.reshape(T.narrow(x, t, t + 1, axis=1), (x.shape[0], x.shape[2]))
-        gi = T.add(T.matmul(x_t, w_in), b_in)
-        gh = T.add(T.matmul(h, w_hid), b_hid)
-        gi_z, gi_r, gi_n = T.split(gi, [hidden] * 3, axis=1)
-        gh_z, gh_r, gh_n = T.split(gh, [hidden] * 3, axis=1)
-        z = T.sigmoid(gi_z + gh_z)
-        r = T.sigmoid(gi_r + gh_r)
-        n = T.tanh(gi_n + r * gh_n)
-        h = (1.0 - z) * n + z * h
+        gi = T.add(R.matmul(x_t, w_in), b_in)
+        gh = T.add(R.matmul(h, w_hid), b_hid)
+        gi_z, gi_r, gi_n = R.split(gi, [hidden] * 3, axis=1)
+        gh_z, gh_r, gh_n = R.split(gh, [hidden] * 3, axis=1)
+        z = R.sigmoid(gi_z + gh_z)
+        r = R.sigmoid(gi_r + gh_r)
+        n = R.tanh(gi_n + r * gh_n)
+        h = R.sub(1.0, z) * n + z * h
         hs.append(h)
-    return T.stack(hs, axis=1)
+    return R.stack(hs, axis=1)
 
 
 def _lstm_steps(x, w_in, w_hid, b_in, b_hid):
@@ -463,16 +493,16 @@ def _lstm_steps(x, w_in, w_hid, b_in, b_hid):
     hs = []
     for t in range(x.shape[1]):
         x_t = T.reshape(T.narrow(x, t, t + 1, axis=1), (x.shape[0], x.shape[2]))
-        gi = T.add(T.matmul(x_t, w_in), b_in)
-        gh = T.add(T.matmul(h, w_hid), b_hid)
-        gi_i, gi_f, gi_g, gi_o = T.split(gi, [hidden] * 4, axis=1)
-        gh_i, gh_f, gh_g, gh_o = T.split(gh, [hidden] * 4, axis=1)
-        i, f = T.sigmoid(gi_i + gh_i), T.sigmoid(gi_f + gh_f)
-        g, o = T.tanh(gi_g + gh_g), T.sigmoid(gi_o + gh_o)
+        gi = T.add(R.matmul(x_t, w_in), b_in)
+        gh = T.add(R.matmul(h, w_hid), b_hid)
+        gi_i, gi_f, gi_g, gi_o = R.split(gi, [hidden] * 4, axis=1)
+        gh_i, gh_f, gh_g, gh_o = R.split(gh, [hidden] * 4, axis=1)
+        i, f = R.sigmoid(gi_i + gh_i), R.sigmoid(gi_f + gh_f)
+        g, o = R.tanh(gi_g + gh_g), R.sigmoid(gi_o + gh_o)
         c = f * c + i * g
-        h = o * T.tanh(c)
+        h = o * R.tanh(c)
         hs.append(h)
-    return T.stack(hs, axis=1)
+    return R.stack(hs, axis=1)
 
 
 def _recurrent_case(rng, gates, batch=3, steps=5, width=2, hidden=3):
@@ -733,7 +763,7 @@ class TestBackwardReleases:
         leaves = {k: T.Tensor(case[k], requires_grad=True) for k in _WEIGHTS}
         with T.Tape() as tape:
             hs = T.lstm_sequence(*(leaves[k] for k in _WEIGHTS))
-            shared = T.tanh(hs)
+            shared = R.tanh(hs)
             loss = T.add(T.reduce_sum(T.mul(shared, shared)),
                          T.reduce_sum(T.mul(hs, T.Tensor(case["w_out"]))))
         intermediates = _outputs(tape)
@@ -873,3 +903,30 @@ def test_step_records_have_one_tensor_output(step):
     exactly one output tensor on each record."""
     build, *args = step
     _taped_step(*build(*args), _single_output_sweep)
+
+
+_PACKAGE = Path(T.__file__).parent
+# the Tensor operator methods; __radd__ and __rmul__ are __add__ and __mul__
+_OPERATORS = ("__add__", "__mul__", "__truediv__")
+
+
+def test_every_public_op_is_called_by_the_package():
+    """Each public function of ``mvcrop.tensor`` but the ``grad_check``
+    utility is named by another package module or called by a Tensor
+    operator method; an op that only tests call belongs in
+    ``tests/reference.py``."""
+    tree = ast.parse((_PACKAGE / "tensor.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    tensor_class = next(node for node in tree.body
+                        if isinstance(node, ast.ClassDef) and node.name == "Tensor")
+    used = {call.func.id for method in tensor_class.body
+            if isinstance(method, ast.FunctionDef) and method.name in _OPERATORS
+            for call in ast.walk(method)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+    for path in _PACKAGE.glob("*.py"):  # each imports its tensor names by name
+        if path.name != "tensor.py":
+            used |= {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.ImportFrom) and node.module == "tensor"
+                     for alias in node.names}
+    assert sorted(public - used - {"grad_check"}) == []

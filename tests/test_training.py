@@ -490,6 +490,37 @@ class TestTrain:
         assert histories[0].train_loss == histories[1].train_loss
         assert histories[0].val_loss == histories[1].val_loss
 
+    def test_trailing_one_sample_batch_is_dropped(self, monkeypatch):
+        """33 training samples in batches of 8: four steps per epoch, and
+        the epoch's loss averages over the 32 samples that were used."""
+        ds = synth_generate(SynthSpec("redundant", samples=44, noise=0.2), seed=2)
+        cfg = fast_config(batch_size=8, max_epochs=2)
+        train_part, _ = validation_split(ds, cfg.validation_fraction, cfg.seed)
+        assert len(train_part) == 33
+        steps, batches = [], []
+        adam_step = Adam.step
+
+        def counting_step(self, params):
+            steps.append(len(batches))
+            return adam_step(self, params)
+
+        def recording_loss(probabilities, labels, weights=None):
+            loss = weighted_cross_entropy(probabilities, labels, weights)
+            batches.append((float(loss.data), len(labels)))
+            return loss
+
+        monkeypatch.setattr(Adam, "step", counting_step)
+        monkeypatch.setattr("mvcrop.training.weighted_cross_entropy", recording_loss)
+        result = train(feature_model(ds), ds, cfg)
+        assert result.epochs_run == 2
+        assert steps == list(range(1, 9))
+        for epoch in range(2):
+            running = 0.0
+            for loss, size in batches[4 * epoch: 4 * epoch + 4]:
+                assert size == 8
+                running += loss * size
+            assert result.train_loss[epoch] == running / 32
+
     def test_model_left_in_inference_mode(self):
         ds = synth_generate(SynthSpec("redundant", samples=48, noise=0.2), seed=2)
         model = feature_model(ds)
