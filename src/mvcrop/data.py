@@ -18,7 +18,7 @@ import numpy as np
 from . import container
 from .errors import ConfigError, FormatError, ShapeError, check_structure
 from .rngutil import named_stream
-from .views import ViewSchema, canonical_schema
+from .views import ViewSchema
 
 __all__ = [
     "Dataset",

@@ -46,9 +46,9 @@ from .fusion import (
 from .kernels import active_backend
 from .metrics import evaluate, grouped_report, row_entropy
 from .rngutil import rep_seed
-from .training import (  # noqa: F401  (load_checkpoint: public re-export)
+from .training import (  # load_checkpoint: public re-export
     TrainConfig,
-    load_checkpoint,
+    load_checkpoint as load_checkpoint,
     save_checkpoint,
     train,
     train_ensemble,

@@ -1,14 +1,20 @@
 """Float64 tensors with taped reverse-mode differentiation.
 
 Execution is eager. While a ``Tape`` is active, every differentiable operation
-appends one record (inputs, its one output, backward rule); because records
-are appended in execution order they are already topologically sorted, so
-``backward`` performs a single reverse sweep and accumulates gradients
-additively into shared inputs. A tape is swept once: the sweep drops each
-non-leaf gradient as soon as its record has consumed it and empties the tape
-when it ends, so only leaf gradients outlive it. With no active tape the
-same operations run as plain numpy math, which is how inference mode works:
-an untaped op builds no backward rule and no record, only the output tensor.
+appends one record; because records are appended in execution order they are
+already topologically sorted, so ``backward`` performs a single reverse sweep
+and accumulates gradients additively into shared inputs. A record holds no
+tensor of the graph: per input it keeps only a gradient route (the record
+that produced the input, or the input itself when it is a leaf that needs a
+gradient) and the input's shape, plus its backward rule and a slot for its
+output's gradient. Each rule captures at forward time the arrays it reads,
+so an intermediate array lives only while the forward code or a rule holds
+it. A tape is swept once: the sweep drops each record's output gradient as
+soon as the record has consumed it, and when it ends it clears every
+record's routes and rule and empties the tape, so only leaf gradients
+outlive it. With no active tape the same operations run as plain numpy math,
+which is how inference mode works: an untaped op builds no backward rule and
+no record, only the output tensor.
 """
 from __future__ import annotations
 
@@ -52,14 +58,23 @@ class Tape:
         _TAPES.stack.pop()
 
 
-@dataclass
 class _Record:
-    """One taped op: its inputs, its one output tensor, and the rule that
-    maps the output's gradient to one gradient (or ``None``) per input."""
+    """One taped op, holding no tensor of the graph.
 
-    inputs: tuple["Tensor", ...]
-    output: "Tensor"
-    backward: Callable
+    ``routes`` has one entry per input: the record that produced it, the
+    input itself when it is a leaf that needs a gradient, or ``None``.
+    ``shapes`` are the inputs' shapes, ``backward`` is the rule that maps
+    the output's gradient to one gradient (or ``None``) per input, and
+    ``grad`` accumulates the output's gradient during the sweep.
+    """
+
+    __slots__ = ("routes", "shapes", "backward", "grad")
+
+    def __init__(self, routes: tuple, shapes: tuple, backward: Callable) -> None:
+        self.routes = routes
+        self.shapes = shapes
+        self.backward = backward
+        self.grad: Array | None = None
 
 
 def _recording(*inputs: "Tensor") -> bool:
@@ -72,14 +87,17 @@ def _recording(*inputs: "Tensor") -> bool:
 
 
 class Tensor:
-    """A dense float64 array plus an accumulated-gradient slot."""
+    """A dense float64 array plus an accumulated-gradient slot. A taped
+    op's output points to its record through ``producer``; a leaf has
+    none."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "producer")
 
     def __init__(self, data, requires_grad: bool = False) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
+        self.producer: _Record | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -116,14 +134,22 @@ def _make(data) -> Tensor:
     out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
     out.requires_grad = False
     out.grad = None
+    out.producer = None
     return out
 
 
 def _record(inputs: tuple[Tensor, ...], output: Tensor, backward) -> None:
-    """Mark ``output`` as needing a gradient and append its record to the
-    active tape."""
+    """Mark ``output`` as needing a gradient, point it to a new record of
+    ``backward`` and append that record to the active tape. The record
+    keeps each input's gradient route and shape, not the input: ``backward``
+    must capture at forward time whatever it reads, and never a non-leaf
+    tensor."""
+    routes = tuple([t.producer if t.producer is not None
+                    else (t if t.requires_grad else None) for t in inputs])
+    rec = _Record(routes, tuple([t.data.shape for t in inputs]), backward)
     output.requires_grad = True
-    _TAPES.stack[-1].records.append(_Record(inputs, output, backward))
+    output.producer = rec
+    _TAPES.stack[-1].records.append(rec)
 
 
 class Parameter(Tensor):
@@ -161,27 +187,29 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = _make(a.data + b.data)
     if _recording(a, b):
-        _record((a, b), out,
-                lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+        sa, sb = a.data.shape, b.data.shape
+        _record((a, b), out, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
     return out
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _make(a.data * b.data)
+    ad, bd = a.data, b.data
+    out = _make(ad * bd)
     if _recording(a, b):
-        _record((a, b), out, lambda g: (_unbroadcast(g * b.data, a.shape),
-                                        _unbroadcast(g * a.data, b.shape)))
+        _record((a, b), out, lambda g: (_unbroadcast(g * bd, ad.shape),
+                                        _unbroadcast(g * ad, bd.shape)))
     return out
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _make(a.data / b.data)
+    ad, bd = a.data, b.data
+    out = _make(ad / bd)
     if _recording(a, b):
         _record((a, b), out, lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+            _unbroadcast(g / bd, ad.shape),
+            _unbroadcast(-g * ad / (bd * bd), bd.shape),
         ))
     return out
 
@@ -235,14 +263,17 @@ def conv1d_same(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (w.shape[0],):
         raise ShapeError(f"conv bias must be [Co]={w.shape[0]}, got {b.shape}")
 
-    y = kernels.conv1d_forward(x3, w.data, b.data)
+    wd = w.data
+    y = kernels.conv1d_forward(x3, wd, b.data)
     out = _make(y[0] if squeeze else y)
     if _recording(x, w, b):
+        input_grad = x.requires_grad  # a raw-data input needs none
+
         def backward(g: Array):
             g3 = g[None, :, :] if squeeze else g
             gx = None
-            if x.requires_grad:  # a raw-data input needs none
-                gx = kernels.conv1d_grad_input(g3, w.data)
+            if input_grad:
+                gx = kernels.conv1d_grad_input(g3, wd)
                 gx = gx[0] if squeeze else gx
             gw = kernels.conv1d_grad_kernel(x3, g3, k)
             gb = g3.sum(axis=(0, 1))
@@ -325,9 +356,10 @@ def gru_sequence(x, w_in, w_hid, b_in, b_hid) -> Tensor:
         x, w_in, w_hid, b_in, b_hid, gates=3)
     x, w_in, w_hid, b_in, b_hid = inputs
     taping = _recording(*inputs)
+    input_grad = x.requires_grad
     two = 2 * hidden
-    xs, gi = _input_projection(x.data, w_in.data, b_in.data)
-    wh, bh = w_hid.data, b_hid.data
+    wi, wh, bh = w_in.data, w_hid.data, b_hid.data
+    xs, gi = _input_projection(x.data, wi, b_in.data)
     hst = np.empty((steps + 1, batch, hidden))
     hst[0] = 0.0
     saved = []
@@ -350,7 +382,7 @@ def gru_sequence(x, w_in, w_hid, b_in, b_hid) -> Tensor:
     # accumulates them, so the gradients are bit-identical to that graph's
     # (lstm_sequence likewise).
     def backward(g: Array):
-        dxs = np.empty(xs.shape) if x.requires_grad else None
+        dxs = np.empty(xs.shape) if input_grad else None
         dw_in = dw_hid = db_in = db_hid = None
         via_z = via_w = None  # gradient reaching h_{t-1} through z*h and h@w_hid
         for t in range(steps - 1, -1, -1):
@@ -372,7 +404,7 @@ def gru_sequence(x, w_in, w_hid, b_in, b_hid) -> Tensor:
             dw_in = _accumulate(dw_in, xs[t].T @ dgi)
             db_in = _accumulate(db_in, dgi.sum(axis=0))
             if dxs is not None:
-                dxs[t] = dgi @ w_in.data.T
+                dxs[t] = dgi @ wi.T
         return (None if dxs is None else dxs.transpose(1, 0, 2),
                 dw_in, dw_hid, db_in, db_hid)
 
@@ -400,9 +432,10 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid) -> Tensor:
         x, w_in, w_hid, b_in, b_hid, gates=4)
     x, w_in, w_hid, b_in, b_hid = inputs
     taping = _recording(*inputs)
+    input_grad = x.requires_grad
     two, three = 2 * hidden, 3 * hidden
-    xs, gi = _input_projection(x.data, w_in.data, b_in.data)
-    wh, bh = w_hid.data, b_hid.data
+    wi, wh, bh = w_in.data, w_hid.data, b_hid.data
+    xs, gi = _input_projection(x.data, wi, b_in.data)
     hst = np.empty((steps + 1, batch, hidden))
     hst[0] = 0.0
     c = np.zeros((batch, hidden))
@@ -424,7 +457,7 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid) -> Tensor:
         return out
 
     def backward(g: Array):
-        dxs = np.empty(xs.shape) if x.requires_grad else None
+        dxs = np.empty(xs.shape) if input_grad else None
         dw_in = dw_hid = db = None
         via_h = via_c = None  # gradients reaching h_{t-1} and c_{t-1}
         for t in range(steps - 1, -1, -1):
@@ -446,7 +479,7 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid) -> Tensor:
             db = _accumulate(db, ds.sum(axis=0))
             dw_in = _accumulate(dw_in, xs[t].T @ ds)
             if dxs is not None:
-                dxs[t] = ds @ w_in.data.T
+                dxs[t] = ds @ wi.T
         return (None if dxs is None else dxs.transpose(1, 0, 2),
                 dw_in, dw_hid, db, db.copy())
 
@@ -548,13 +581,14 @@ def weighted_nll(probabilities, labels: Array, weights: Array) -> Tensor:
     """``weighted_nll_sum`` divided by the batch size, as one record; the
     gradient reaches only the gathered label entries."""
     p = as_tensor(probabilities)
-    batch = float(p.data.shape[0])
-    out = _make(weighted_nll_sum(p.data, labels, weights) / batch)
+    pd = p.data
+    batch = float(pd.shape[0])
+    out = _make(weighted_nll_sum(pd, labels, weights) / batch)
     if _recording(p):
         def backward(g: Array):
-            rows = np.arange(p.data.shape[0])
-            picked = p.data[rows, labels]
-            gp = np.zeros(p.data.shape)
+            rows = np.arange(pd.shape[0])
+            picked = pd[rows, labels]
+            gp = np.zeros(pd.shape)
             gp[rows, labels] = (-(g / batch * weights[labels]) * (picked > _NLL_FLOOR)
                                 / np.maximum(picked, _NLL_FLOOR))
             return (gp,)
@@ -571,7 +605,8 @@ def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     out = _make(x.data.reshape(shape))
     if _recording(x):
-        _record((x,), out, lambda g: (g.reshape(x.shape),))
+        sx = x.data.shape
+        _record((x,), out, lambda g: (g.reshape(sx),))
     return out
 
 
@@ -579,7 +614,8 @@ def broadcast_to(x, shape) -> Tensor:
     x = as_tensor(x)
     out = _make(np.ascontiguousarray(np.broadcast_to(x.data, tuple(shape))))
     if _recording(x):
-        _record((x,), out, lambda g: (_unbroadcast(g, x.shape),))
+        sx = x.data.shape
+        _record((x,), out, lambda g: (_unbroadcast(g, sx),))
     return out
 
 
@@ -604,8 +640,10 @@ def narrow(x, start: int, stop: int, axis: int = 0) -> Tensor:
     index = (slice(None),) * (axis % x.data.ndim) + (slice(start, stop),)
     out = _make(x.data[index].copy())
     if _recording(x):
+        sx = x.data.shape
+
         def backward(g: Array):
-            gx = np.zeros(x.shape)
+            gx = np.zeros(sx)
             gx[index] = g
             return (gx,)
 
@@ -635,7 +673,8 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     out = _make(np.add.reduce(x.data, axis=axes[0] if len(axes) == 1 else axes,
                               keepdims=keepdims))
     if _recording(x):
-        _record((x,), out, lambda g: (_spread(g, x.shape, axes, keepdims),))
+        sx = x.data.shape
+        _record((x,), out, lambda g: (_spread(g, sx, axes, keepdims),))
     return out
 
 
@@ -648,8 +687,8 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     out = _make(np.add.reduce(x.data, axis=axes[0] if len(axes) == 1 else axes,
                               keepdims=keepdims) / count)
     if _recording(x):
-        _record((x,), out,
-                lambda g: (_spread(g, x.shape, axes, keepdims) / count,))
+        sx = x.data.shape
+        _record((x,), out, lambda g: (_spread(g, sx, axes, keepdims) / count,))
     return out
 
 
@@ -673,10 +712,11 @@ def _normalise(x: Tensor, scale: Tensor, shift: Tensor, eps: float, axis,
     var = np.add.reduce(centred * centred, axis=axis, keepdims=keepdims) / count
     ivar = 1.0 / np.sqrt(var + eps)
     xhat = centred * ivar
-    out = _make(scale.data * xhat + shift.data)
+    sd = scale.data
+    out = _make(sd * xhat + shift.data)
     if _recording(x, scale, shift):
         def backward(g: Array):
-            dxhat = g * scale.data
+            dxhat = g * sd
             m1 = np.add.reduce(dxhat, axis=axis, keepdims=True) / count
             m2 = np.add.reduce(dxhat * xhat, axis=axis, keepdims=True) / count
             dx = ivar * (dxhat - m1 - xhat * m2)
@@ -712,11 +752,12 @@ def batch_norm_infer(
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     ivar = 1.0 / np.sqrt(running_var + eps)
     xhat = (x.data - running_mean) * ivar
-    out = _make(gamma.data * xhat + beta.data)
+    gd = gamma.data
+    out = _make(gd * xhat + beta.data)
     if _recording(x, gamma, beta):
         axes = tuple(range(x.ndim - 1))
         _record((x, gamma, beta), out, lambda g: (
-            g * gamma.data * ivar, (g * xhat).sum(axis=axes), g.sum(axis=axes)))
+            g * gd * ivar, (g * xhat).sum(axis=axes), g.sum(axis=axes)))
     return out
 
 
@@ -752,35 +793,46 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, mode: str) 
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Reverse sweep over the tape, accumulating into ``.grad`` slots.
+    """Reverse sweep over the tape, accumulating leaf gradients into their
+    ``.grad`` slots.
 
-    A record whose one output received no gradient is skipped. A tape is
-    swept once. Every consumer of a record's output comes later
-    on the tape, so once the record's rule has run its output gradient is
-    complete and is dropped (``.grad = None``); leaves keep theirs. When
-    the sweep ends the tape is emptied, which releases each record's saved
-    arrays.
+    The sweep seeds the loss's record with a gradient of ones (a leaf loss
+    gets ``loss.grad = 1`` and nothing else). A record whose output received
+    no gradient is skipped. Each rule's gradients follow the record's
+    routes: into the producing record's ``grad`` slot, or into a leaf's
+    ``.grad``. Every consumer of a record's output comes later on the tape,
+    so once the record's rule has run its output gradient is complete and
+    is dropped. A tape is swept once: when the sweep ends, on every return
+    path, each record's routes, rule and gradient are cleared and the tape is
+    emptied, which releases the saved arrays; a tensor that the caller still
+    holds keeps its ``.data`` but no graph.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    records = tape.records
     try:
         if not loss.requires_grad:
             return
-        loss.grad = np.ones_like(loss.data)
-        for rec in reversed(tape.records):
-            out = rec.output
-            g = out.grad
+        seed = np.ones_like(loss.data)
+        if loss.producer is None:
+            loss.grad = seed
+            return
+        loss.producer.grad = seed
+        for rec in reversed(records):
+            g = rec.grad
             if g is None:
                 continue
-            out.grad = None
+            rec.grad = None
             grads = rec.backward(g)
-            for t, gi in zip(rec.inputs, grads):
-                if gi is None or not t.requires_grad:
+            for route, shape, gi in zip(rec.routes, rec.shapes, grads):
+                if gi is None or route is None:
                     continue
-                gi = np.asarray(gi, dtype=np.float64).reshape(t.shape)
-                t.grad = gi if t.grad is None else t.grad + gi
+                gi = np.asarray(gi, dtype=np.float64).reshape(shape)
+                route.grad = gi if route.grad is None else route.grad + gi
     finally:
-        tape.records.clear()
+        for rec in records:
+            rec.routes = rec.backward = rec.grad = None
+        records.clear()
 
 
 @dataclass

@@ -2,8 +2,6 @@
 attention pooling, and cross-architecture invariants."""
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 

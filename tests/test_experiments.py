@@ -18,7 +18,6 @@ import mvcrop
 from mvcrop.data import (
     Dataset,
     SynthSpec,
-    load_dataset,
     save_dataset,
     stratified_split,
     synth_generate,
@@ -33,7 +32,6 @@ from mvcrop.experiments import (
     SUMMARY_COLUMNS,
     CellSpec,
     ExperimentConfig,
-    RunOutcome,
     _predict_all,
     best_cell_label,
     best_encoder,

@@ -14,12 +14,8 @@ from mvcrop.errors import ConfigError, ShapeError
 from mvcrop.experiments import grid_cells
 from mvcrop.fusion import (
     STRATEGIES,
-    DecisionFusion,
     EnsembleModel,
-    FeatureFusion,
     GatedMerge,
-    HybridFusion,
-    InputFusion,
     PredictionHead,
     align_and_merge_input,
     average_probabilities,

@@ -1,7 +1,9 @@
 """Tensor-core oracles: frozen op values, tape semantics, gradient checks,
 and what the backward sweep releases."""
 import ast
+import gc
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvcrop import tensor as T
-from mvcrop.encoders import EncoderConfig, build_encoder
+from mvcrop.encoders import EncoderConfig, _ConvBlock, build_encoder
 from mvcrop.errors import ConfigError, NumericError, ShapeError
 from mvcrop.fusion import build_model, multi_loss
 from mvcrop.training import weighted_cross_entropy
@@ -726,23 +728,19 @@ class TestAttentionPool:
 
 
 def _keeping_backward(loss, tape):
-    """A sweep that releases nothing: it keeps every intermediate gradient
-    and every record. The reference for ``backward``'s leaf gradients."""
-    loss.grad = np.ones_like(loss.data)
+    """A sweep that releases nothing: it keeps every record's output
+    gradient, every route and every record. The reference for
+    ``backward``'s leaf gradients."""
+    loss.producer.grad = np.ones_like(loss.data)
     for rec in reversed(tape.records):
-        g = rec.output.grad
+        g = rec.grad
         if g is None:
             continue
-        for t, gi in zip(rec.inputs, rec.backward(g)):
-            if gi is None or not t.requires_grad:
+        for route, shape, gi in zip(rec.routes, rec.shapes, rec.backward(g)):
+            if gi is None or route is None:
                 continue
-            gi = np.asarray(gi, dtype=np.float64).reshape(t.shape)
-            t.grad = gi if t.grad is None else t.grad + gi
-
-
-def _outputs(tape):
-    """Every tensor that a record of ``tape`` produced."""
-    return [rec.output for rec in tape.records]
+            gi = np.asarray(gi, dtype=np.float64).reshape(shape)
+            route.grad = gi if route.grad is None else route.grad + gi
 
 
 def _assert_bit_identical(got, want):
@@ -766,20 +764,21 @@ class TestBackwardReleases:
             shared = R.tanh(hs)
             loss = T.add(T.reduce_sum(T.mul(shared, shared)),
                          T.reduce_sum(T.mul(hs, T.Tensor(case["w_out"]))))
-        intermediates = _outputs(tape)
+        intermediates = list(tape.records)
         sweep(loss, tape)
         return [leaves[k].grad for k in _WEIGHTS], intermediates, tape
 
     def test_tape_is_empty_after_backward(self):
-        _, _, tape = self._sweep(T.backward)
+        _, records, tape = self._sweep(T.backward)
         assert tape.records == []
+        assert all(rec.routes is None and rec.backward is None for rec in records)
 
     def test_intermediate_gradients_are_dropped_leaf_gradients_kept(self):
         got, intermediates, _ = self._sweep(T.backward)
         want, kept, _ = self._sweep(_keeping_backward)
-        assert len(intermediates) == 7  # one output per record
-        assert all(t.grad is None for t in intermediates)
-        assert all(t.grad is not None for t in kept)  # the reference keeps them
+        assert len(intermediates) == 7  # one output gradient slot per record
+        assert all(rec.grad is None for rec in intermediates)
+        assert all(rec.grad is not None for rec in kept)  # the reference keeps them
         for g, w in zip(got, want):
             _assert_bit_identical(g, w)
 
@@ -800,10 +799,12 @@ class TestBackwardReleases:
         def fails(g):
             raise NumericError("rule failed")
 
-        tape.records[0].backward = fails
+        rec = tape.records[0]
+        rec.backward = fails
         with pytest.raises(NumericError):
             T.backward(loss, tape)
         assert tape.records == []
+        assert rec.routes is None and rec.backward is None and rec.grad is None
 
 
 _TINY_WIDTHS = dict(hidden=6, layers=2, embedding_dim=8, dense=12, heads=2,
@@ -813,22 +814,22 @@ _TINY_WIDTHS = dict(hidden=6, layers=2, embedding_dim=8, dense=12, heads=2,
 def _taped_step(module, loss_of, sweep):
     """One training step of ``module`` under ``sweep``: a seeded forward in
     train mode and the backward sweep. Returns every parameter gradient and
-    the step's intermediate tensors."""
+    the step's records."""
     module.set_mode("train")
     params = module.named_parameters()
     for p in params.values():
         p.grad = None
     with T.Tape() as tape:
         loss = loss_of(module, np.random.default_rng(11))
-    intermediates = _outputs(tape)
+    records = list(tape.records)
     sweep(loss, tape)
-    return {name: p.grad for name, p in params.items()}, intermediates
+    return {name: p.grad for name, p in params.items()}, records
 
 
 def _assert_step_matches_keeping_sweep(module, loss_of):
     want, _ = _taped_step(module, loss_of, _keeping_backward)
-    got, intermediates = _taped_step(module, loss_of, T.backward)
-    assert intermediates and all(t.grad is None for t in intermediates)
+    got, records = _taped_step(module, loss_of, T.backward)
+    assert records and all(rec.grad is None for rec in records)
     assert got.keys() == want.keys()
     for name in want:
         _assert_bit_identical(got[name], want[name])
@@ -887,22 +888,107 @@ def test_model_step_gradients_match_keeping_sweep(strategy, component):
     _assert_step_matches_keeping_sweep(*_model_step(strategy, component, "GRU"))
 
 
-def _single_output_sweep(loss, tape):
-    """``backward``, after checking that every record has one plain
-    ``Tensor`` as its output."""
+def _is_route(route):
+    """A record, a leaf tensor that needs a gradient, or ``None``."""
+    if isinstance(route, T.Tensor):
+        return route.requires_grad and route.producer is None
+    return route is None or type(route) is T._Record
+
+
+def _routed_sweep(loss, tape):
+    """``backward``, after checking that every record keeps one route and
+    one shape per input, and with each rule checked to run after its
+    record's gradient slot was dropped and to return one gradient per
+    route, shaped as its input."""
     assert tape.records
-    assert all(type(rec.output) is T.Tensor for rec in tape.records)
+    for rec in tape.records:
+        assert len(rec.routes) == len(rec.shapes)
+        assert all(_is_route(route) for route in rec.routes)
+
+        def checked(g, rec=rec, rule=rec.backward, shapes=rec.shapes):
+            assert rec.grad is None
+            grads = rule(g)
+            assert len(grads) == len(shapes)
+            assert all(gi is None or np.size(gi) == int(np.prod(shape))
+                       for gi, shape in zip(grads, shapes))
+            return grads
+
+        rec.backward = checked
     T.backward(loss, tape)
 
 
 @pytest.mark.parametrize("step", [(_encoder_step, arch) for arch in _ENCODERS]
                          + [(_model_step, *model, "LSTM") for model in _MODELS],
                          ids=_ENCODERS + ["-".join(model) for model in _MODELS])
-def test_step_records_have_one_tensor_output(step):
-    """One taped training step of each encoder, and of two LSTM models, puts
-    exactly one output tensor on each record."""
+def test_step_records_route_each_input(step):
+    """One taped training step of each encoder, and of two LSTM models,
+    gives each record one route and one shape per input, and its rule one
+    gradient per route."""
     build, *args = step
-    _taped_step(*build(*args), _single_output_sweep)
+    _taped_step(*build(*args), _routed_sweep)
+
+
+def _reachable_tensors(roots):
+    """Every ``Tensor`` reachable from ``roots`` through ``gc.get_referents``.
+    A function is followed through its closure cells and defaults only, not
+    its globals; the walk stops at tensors, types and modules."""
+    seen, found, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, T.Tensor):
+            found.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack += (obj.__closure__ or ()) + (obj.__defaults__ or ())
+        elif not isinstance(obj, (type, types.ModuleType)):
+            stack += gc.get_referents(obj)
+    return found
+
+
+@pytest.mark.parametrize("step", [(_encoder_step, arch) for arch in _ENCODERS]
+                         + [(_model_step, "Hybrid", "gfusion", "TempCNN")],
+                         ids=_ENCODERS + ["Hybrid-gfusion"])
+def test_tape_holds_no_intermediate_tensor(step):
+    """After a taped forward of each encoder and of one model, the only
+    tensors that the tape's records reach, through their routes or their
+    rules' closures, are the module's parameters: every intermediate array
+    lives only as long as the forward code or a rule holds it."""
+    build, *args = step
+    module, loss_of = build(*args)
+    module.set_mode("train")
+    with T.Tape() as tape:
+        loss = loss_of(module, np.random.default_rng(11))
+    reached = _reachable_tensors(tape.records)
+    leaves = {id(p) for p in module.named_parameters().values()}
+    stray = [t.shape for t in reached if id(t) not in leaves]
+    assert reached and not stray, stray
+    T.backward(loss, tape)
+
+
+def test_taped_conv_block_frees_conv_and_norm_outputs():
+    """A taped TempCNN conv block (conv, batch norm, ReLU) holds, once it
+    returns, the batch-norm rule's normalised input, the ReLU mask and the
+    block's output: ``8 + 1 + 8`` bytes per ``[B, T, C]`` entry, within a
+    few kilobytes of Python objects. The conv output and the batch-norm
+    output are freed as soon as the next op has read them."""
+    batch, steps, channels = 57, 12, 64
+    block = _ConvBlock(channels, channels, 5)
+    block.initialize(3)
+    x = T.Tensor(np.random.default_rng(6).standard_normal((batch, steps, channels)),
+                 requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with T.Tape() as tape:
+            out = block(x)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape.records) == 3 and out is not None
+    entries = batch * steps * channels
+    assert retained <= (8 + 1 + 8) * entries + 32 * 1024, (retained, entries)
 
 
 _PACKAGE = Path(T.__file__).parent

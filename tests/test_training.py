@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from mvcrop.data import Dataset, SynthSpec, synth_generate
+from mvcrop.data import SynthSpec, synth_generate
 from mvcrop.encoders import EncoderConfig
 from mvcrop.errors import ConfigError, FormatError, NumericError, ShapeError
 from mvcrop.fusion import build_model
