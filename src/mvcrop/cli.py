@@ -30,13 +30,12 @@ from .data import (
 from .errors import ConfigError, FormatError, ShapeError, check_structure
 from .experiments import (
     ExperimentConfig,
-    _write_csv,
     inspect_parameters,
-    reemit_reports,
     run_cell,
     run_grid,
     run_search,
 )
+from .rundir import RECORDS, REPORTS, reemit_reports, write_table
 from .views import ViewSchema, canonical_schema
 
 
@@ -197,10 +196,10 @@ def _cmd_entropy(args) -> int:
               f"(min {stats['min']:.4f}, max {stats['max']:.4f}, "
               f"std {stats['std']:.4f})")
     if args.out:
-        _write_csv(args.out, ("view", "feature", "entropy"),
-                   [{"view": view, "feature": feature, "entropy": value}
-                    for view, values in report.per_feature.items()
-                    for feature, value in enumerate(values)])
+        write_table(args.out, ("view", "feature", "entropy"),
+                    [(view, feature, value)
+                     for view, values in report.per_feature.items()
+                     for feature, value in enumerate(values)])
         print(f"wrote {args.out}")
     return 0
 
@@ -239,14 +238,14 @@ def _cmd_run(args) -> int:
     print(f"cells: {len(outcome.cells)}  "
           f"trainings: {outcome.trainings_executed}  "
           f"best: {outcome.best_cell}")
-    print(f"records: {Path(outcome.output_dir) / 'records.csv'}")
-    print(f"reports: {Path(outcome.output_dir) / 'reports'}")
+    print(f"records: {Path(outcome.output_dir) / RECORDS}")
+    print(f"reports: {Path(outcome.output_dir) / REPORTS}")
     return 0
 
 
 def _cmd_report(args) -> int:
     reemit_reports(args.records)
-    print(f"re-emitted reports under {Path(args.records) / 'reports'}")
+    print(f"re-emitted reports under {Path(args.records) / REPORTS}")
     return 0
 
 

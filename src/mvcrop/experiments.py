@@ -5,35 +5,24 @@ Three evaluation protocols over one dataset: the full encoder × strategy grid
 (5 Input-fusion cells, then 11 follow-up cells with the winning encoder, one
 of which reuses a phase-1 result = 16 cells, 15 trainings per repetition),
 and per-view single-model baselines. Each protocol is an ordered tuple of
-phases, and one engine (``_run_protocol``) runs any of them.
-
-A run record is one row per (cell, repetition): identity columns, seed,
-config fingerprint, status, the metrics report and, in memory only, the
-repetition's train and infer seconds. ``records.csv`` writes only
-``RECORD_COLUMNS``, so it is byte reproducible for identical (config, seed
-base) inputs; the seconds go to the per-cell timing table
-(``reports/timings.csv``). Every run directory holds ``manifest``,
-``records.csv``, ``checkpoints/`` and ``reports/``.
+phases, and one engine (``_run_protocol``) runs any of them. What a run
+leaves on disk is written through ``mvcrop.rundir``.
 """
 from __future__ import annotations
 
-import csv
-import ctypes
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
-from . import __version__
-from .data import Dataset, load_dataset, parse_cell, read_csv, stratified_split
+from . import rundir
+from .data import Dataset, load_dataset, stratified_split
 from .encoders import EncoderConfig, build_encoder
-from .errors import ConfigError, check_fields, check_structure
+from .errors import ConfigError, check_fields
 from .fusion import (
     COMPONENT_STRATEGIES,
     COMPONENTS,
@@ -43,9 +32,9 @@ from .fusion import (
     build_model,
     resolve_merge,
 )
-from .kernels import active_backend
-from .metrics import evaluate, grouped_report, row_entropy
+from .metrics import evaluate
 from .rngutil import rep_seed
+from .rundir import write_records_csv  # perfbench wraps this binding
 from .training import (  # load_checkpoint: public re-export
     TrainConfig,
     load_checkpoint as load_checkpoint,
@@ -61,37 +50,6 @@ SEARCH_CELL_COUNT = 16
 
 _SELECTION_METRICS = ("kappa", "average_accuracy", "f1_macro")
 _TASKS = ("binary", "multicrop")
-
-_METRIC_FIELDS = (
-    "average_accuracy", "kappa", "f1_macro", "f1_positive", "auc_roc",
-    "max_probability", "prediction_entropy",
-)
-
-RECORD_COLUMNS = (
-    "cell", "phase", "view", "encoder", "strategy", "component", "merge",
-    "repetition", "seed", "fingerprint", "status", "error", "parameters",
-    "samples", *_METRIC_FIELDS, "checkpoint",
-)
-
-SUMMARY_COLUMNS = (
-    "cell", "phase", "view", "encoder", "strategy", "component",
-    "parameters", "reps_total", "reps_ok", "reps_failed",
-    *(f"{metric}_{stat}" for metric in _METRIC_FIELDS
-      for stat in ("mean", "std")),
-)
-
-_TIMING_COLUMNS = ("cell", "phase", "view", "repetitions",
-                   "train_seconds_mean", "infer_seconds_mean")
-
-_GROUP_COLUMNS = ("group", "samples", "average_accuracy", "kappa", "f1_macro")
-
-# records.csv columns that parse as numbers; an empty cell reads as None
-_NUMERIC_TYPES = {**dict.fromkeys(("repetition", "seed", "parameters",
-                                   "samples"), int),
-                  **dict.fromkeys(_METRIC_FIELDS, float)}
-
-_PREDICTION_METADATA = ("latitude", "longitude", "year", "continent",
-                        "country")
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +75,6 @@ class CellSpec:
         if self.view:
             text += f"[{self.view}]"
         return text
-
-    @property
-    def slug(self) -> str:
-        return (self.label.replace("/", "_").replace("+", "_")
-                .replace("[", "_").replace("]", ""))
 
 
 def grid_cells(component_encoder: str) -> tuple[CellSpec, ...]:
@@ -302,27 +255,11 @@ def dataset_fingerprint(dataset: Dataset) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _groups(rows, key) -> dict:
-    """Rows grouped by ``key(row)`` in first-seen order."""
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault(key(row), []).append(row)
-    return groups
-
-
-def _mean(values) -> float | None:
-    """Mean of the values that are not None; None when none is left."""
-    values = [value for value in values if value is not None]
-    return float(np.mean(values)) if values else None
-
-
 def _ok_groups(rows, key) -> dict:
-    """Successful rows grouped by ``key(row)`` in first-seen order.
-
-    Reused rows duplicate a phase-1 result and are excluded so no cell is
-    counted twice.
-    """
-    return _groups([row for row in rows if row["status"] == "ok"], key)
+    """Successful rows grouped by ``key(row)`` in first-seen order; reused
+    rows repeat a phase-1 result and are left out, so none counts twice."""
+    return rundir.group_rows(
+        [row for row in rows if row["status"] == "ok"], key)
 
 
 def _min_parameters(rows: list) -> int:
@@ -351,9 +288,8 @@ def _select(candidates: list) -> str:
 def best_cell_label(rows: list, metric: str) -> str:
     """Cell with the best mean metric over its successful repetitions."""
     groups = _ok_groups(rows, lambda row: row["cell"])
-    return _select([(label, _mean(row[metric] for row in group),
-                     _min_parameters(group))
-                    for label, group in groups.items()])
+    return _select([(label, rundir.mean_or_none(row[metric] for row in group),
+                     _min_parameters(group)) for label, group in groups.items()])
 
 
 def best_encoder(rows: list, metric: str) -> str:
@@ -365,82 +301,9 @@ def best_encoder(rows: list, metric: str) -> str:
     candidates = []
     for encoder, group in groups.items():
         inputs = [row for row in group if row["strategy"] == "Input"]
-        candidates.append((encoder, _mean(row[metric] for row in group),
-                           _min_parameters(inputs or group)))
+        candidates.append((encoder, rundir.mean_or_none(
+            row[metric] for row in group), _min_parameters(inputs or group)))
     return _select(candidates)
-
-
-# ---------------------------------------------------------------------------
-# records CSV
-# ---------------------------------------------------------------------------
-
-
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path, columns, rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_value(row[col]) for col in columns])
-
-
-def write_records_csv(path, rows: list) -> None:
-    _write_csv(path, RECORD_COLUMNS, rows)
-
-
-def read_records_csv(path) -> list:
-    """The rows of a ``records.csv``; a missing column or an unparsable
-    cell raises FormatError naming the file and line."""
-    header, table = read_csv(path, RECORD_COLUMNS)
-    rows = []
-    for line, cells in table:
-        raw = dict(zip(header, cells))
-        row = {column: raw[column] for column in RECORD_COLUMNS}
-        for column, convert in _NUMERIC_TYPES.items():
-            row[column] = (parse_cell(path, line, column, convert, row[column])
-                           if row[column] else None)
-        rows.append(row)
-    return rows
-
-
-def summarize(rows: list) -> list:
-    """Per-cell mean/std (population) over successful repetitions.
-
-    The oracle property: running this over ``records.csv`` reproduces the
-    stored summary exactly.
-    """
-    summary = []
-    for (phase, label, view), group in _groups(
-            rows, lambda row: (row["phase"], row["cell"], row["view"])).items():
-        scored = [row for row in group if row["status"] in ("ok", "reused")]
-        first = group[0]
-        entry = {
-            "cell": label,
-            "phase": phase,
-            "view": view,
-            "encoder": first["encoder"],
-            "strategy": first["strategy"],
-            "component": first["component"],
-            "parameters": next((row["parameters"] for row in group
-                                if row["parameters"] is not None), None),
-            "reps_total": len(group),
-            "reps_ok": len(scored),
-            "reps_failed": sum(row["status"] == "error" for row in group),
-        }
-        for metric in _METRIC_FIELDS:
-            values = [row[metric] for row in scored
-                      if row[metric] is not None]
-            entry[f"{metric}_mean"] = _mean(values)
-            entry[f"{metric}_std"] = float(np.std(values)) if values else None
-        summary.append(entry)
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -476,16 +339,6 @@ def _error_text(exc: Exception) -> str:
     return " ".join(text.split())
 
 
-def _metric_values(report, names) -> dict:
-    """The ``names`` fields of a MetricsReport as floats; each is None when
-    the report is None or leaves that metric undefined."""
-    values = {}
-    for name in names:
-        value = None if report is None else getattr(report, name)
-        values[name] = None if value is None else float(value)
-    return values
-
-
 def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
              fingerprint: str, out_dir: Path, merge: str) -> tuple:
     """Train and score one (cell, repetition): its record row, which also
@@ -493,13 +346,9 @@ def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
     (None when it failed)."""
     train_ds, test_ds = data
     seed = rep_seed(config.seed_base, rep)
-    parameters = None
-    probabilities = None
-    report = None
-    checkpoint = ""
-    train_seconds = 0.0
-    infer_seconds = 0.0
-    status, error = "ok", ""
+    parameters = probabilities = report = None
+    train_seconds = infer_seconds = 0.0
+    status, error, checkpoint = "ok", "", ""
     try:
         model = _build_cell_model(cell, config, train_ds, merge)
         parameters = model.parameter_count()
@@ -511,7 +360,7 @@ def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
                                      config.train.batch_size)
         infer_seconds = perf_counter() - started
         report = evaluate(test_ds.labels, probabilities, test_ds.classes)
-        checkpoint = f"checkpoints/{cell.slug}-rep{rep:02d}.mvlc"
+        checkpoint = rundir.checkpoint_name(cell.label, rep)
         save_checkpoint(model, out_dir / checkpoint, extra={
             "cell": cell.label, "phase": cell.phase, "repetition": rep,
             "seed": seed, "fingerprint": fingerprint})
@@ -526,7 +375,7 @@ def _run_one(cell: CellSpec, rep: int, data, config: ExperimentConfig,
         "repetition": rep, "seed": seed, "fingerprint": fingerprint,
         "status": status, "error": error, "parameters": parameters,
         "samples": None if report is None else int(report.samples),
-        **_metric_values(report, _METRIC_FIELDS),
+        **rundir.metric_values(report, rundir.METRIC_FIELDS),
         "checkpoint": checkpoint,
         "train_seconds": train_seconds, "infer_seconds": infer_seconds,
     }
@@ -551,7 +400,7 @@ def _execute(cells, split: tuple, config: ExperimentConfig, out_dir: Path,
     """
     merges = {cell: resolve_merge(cell.strategy, cell.component,
                                   config.merge) for cell in cells}
-    (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
+    (out_dir / rundir.CHECKPOINTS).mkdir(parents=True, exist_ok=True)
     tasks = [(cell, rep) for cell in cells
              for rep in range(config.repetitions)]
 
@@ -574,145 +423,6 @@ def _execute(cells, split: tuple, config: ExperimentConfig, out_dir: Path,
 
 
 # ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
-
-
-def _percent(mean, std) -> str:
-    if mean is None:
-        return "-"
-    return f"{100 * mean:.1f}±{100 * (std or 0.0):.1f}"
-
-
-def _plain(mean, std) -> str:
-    if mean is None:
-        return "-"
-    return f"{mean:.3f}±{std or 0.0:.3f}"
-
-
-def write_summary_markdown(path, summary: list, best_cell: str,
-                           kind: str) -> None:
-    lines = [f"# Run summary ({kind})", "",
-             f"Best cell by mean selection metric: **{best_cell}**", "",
-             "## Overall results (mean±std over repetitions, ×100)", "",
-             "| cell | AA | kappa | F1 | AUC | failed |",
-             "| --- | --- | --- | --- | --- | --- |"]
-    for entry in summary:
-        lines.append(
-            f"| {entry['cell']} "
-            f"| {_percent(entry['average_accuracy_mean'], entry['average_accuracy_std'])} "
-            f"| {_percent(entry['kappa_mean'], entry['kappa_std'])} "
-            f"| {_percent(entry['f1_macro_mean'], entry['f1_macro_std'])} "
-            f"| {_percent(entry['auc_roc_mean'], entry['auc_roc_std'])} "
-            f"| {entry['reps_failed'] or ''} |")
-    lines += ["", "## Uncertainty (mean±std over repetitions)", "",
-              "| cell | max probability | normalized entropy |",
-              "| --- | --- | --- |"]
-    for entry in summary:
-        lines.append(
-            f"| {entry['cell']} "
-            f"| {_plain(entry['max_probability_mean'], entry['max_probability_std'])} "
-            f"| {_plain(entry['prediction_entropy_mean'], entry['prediction_entropy_std'])} |")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _timing_rows(rows: list) -> list:
-    """Per cell in run order: its repetition count and its mean train and
-    infer seconds over the repetitions that did not fail."""
-    table = []
-    for (phase, label), group in _groups(
-            rows, lambda row: (row["phase"], row["cell"])).items():
-        scored = [row for row in group if row["status"] != "error"]
-        table.append({
-            "cell": label, "phase": phase, "view": group[0]["view"],
-            "repetitions": len(group),
-            "train_seconds_mean": _mean(row["train_seconds"]
-                                        for row in scored),
-            "infer_seconds_mean": _mean(row["infer_seconds"]
-                                        for row in scored),
-        })
-    return table
-
-
-def _column_cells(values: np.ndarray) -> list:
-    """A column's CSV cells: ``repr`` of floats, ``str`` of integers and
-    strings, as ``_format_value`` formats each value."""
-    return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
-
-
-def _write_predictions_csv(path, labels: np.ndarray, probabilities: np.ndarray,
-                           metadata: dict) -> None:
-    """One row per sample: its metadata, true and predicted label, maximum
-    probability, normalised entropy and class probabilities. The cells are
-    formatted column by column."""
-    classes = probabilities.shape[1]
-    predicted = probabilities.argmax(axis=1)
-    entropy = row_entropy(probabilities) / np.log(classes)
-    meta_columns = [key for key in _PREDICTION_METADATA if key in metadata]
-    header = (["index"] + meta_columns
-              + ["true_label", "predicted_label", "correct",
-                 "max_probability", "entropy"]
-              + [f"prob_{k}" for k in range(classes)])
-    columns = ([_column_cells(np.arange(labels.shape[0]))]
-               + [_column_cells(metadata[key]) for key in meta_columns]
-               + [_column_cells(labels), _column_cells(predicted),
-                  _column_cells((predicted == labels).astype(np.int64)),
-                  _column_cells(probabilities.max(axis=1)), _column_cells(entropy)]
-               + [_column_cells(column) for column in probabilities.T])
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
-
-
-def _check_group_fields(metadata: dict, group_by) -> None:
-    for key in group_by:
-        if key not in metadata:
-            raise ConfigError(
-                f"grouping by {key!r} requires per-sample metadata field "
-                f"{key!r}; available fields: {sorted(metadata)}")
-
-
-def _grouped_rows(labels, probabilities, metadata: dict, key: str,
-                  classes: int) -> list:
-    _check_group_fields(metadata, (key,))
-    reports = grouped_report(labels, probabilities, metadata, key, classes)
-    return [{"group": group, "samples": int(report.samples),
-             **_metric_values(report, _GROUP_COLUMNS[2:])}
-            for group, report in reports.items()]
-
-
-def _per_class_rows(report) -> list:
-    return [{"class": k,
-             "precision": float(report.precision[k]),
-             "recall": float(report.recall[k]),
-             "f1": float(report.f1[k])}
-            for k in range(len(report.precision))]
-
-
-def _write_tables(reports: Path, kind: str, best_cell: str, group_by,
-                  rows: list, scores) -> None:
-    """``summary.csv``/``summary.md`` from the records and, when the best
-    cell's ``(labels, probabilities, metadata)`` scores are given,
-    ``per_class.csv`` and one ``per_<group>.csv`` per grouping field."""
-    reports.mkdir(parents=True, exist_ok=True)
-    summary = summarize(rows)
-    _write_csv(reports / "summary.csv", SUMMARY_COLUMNS, summary)
-    write_summary_markdown(reports / "summary.md", summary, best_cell, kind)
-    if scores is None:
-        return
-    labels, probabilities, metadata = scores
-    classes = probabilities.shape[1]
-    _write_csv(reports / "per_class.csv",
-               ("class", "precision", "recall", "f1"),
-               _per_class_rows(evaluate(labels, probabilities, classes)))
-    for key in group_by:
-        _write_csv(reports / f"per_{key}.csv", _GROUP_COLUMNS,
-                   _grouped_rows(labels, probabilities, metadata, key,
-                                 classes))
-
-
-# ---------------------------------------------------------------------------
 # protocol runners
 # ---------------------------------------------------------------------------
 
@@ -729,69 +439,17 @@ class RunOutcome:
     output_dir: str
 
 
-def _blas_threads() -> int | str:
-    """Thread count of the OpenBLAS that numpy loaded, read through its
-    ``*openblas_get_num_threads*`` entry point; the process's memory map
-    names the loaded library. ``"unknown"`` for a BLAS that cannot be
-    queried, or where there is no ``/proc/self/maps``."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line}
-    except OSError:
-        return "unknown"
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
-            query = getattr(lib, name, None)
-            if query is not None:
-                query.argtypes, query.restype = [], ctypes.c_int
-                return int(query())
-    return "unknown"
-
-
-def _numeric_environment() -> dict:
-    """What the numbers of a run depend on besides config and data: the
-    numpy and BLAS builds, the BLAS thread count and the CPU count."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": blas.get("name"),
-            "blas_version": blas.get("version"), "blas_threads": _blas_threads(),
-            "cpu_count": os.cpu_count()}
-
-
-def _write_manifest(out_dir: Path, kind: str, config: ExperimentConfig,
-                    fingerprint: str, cells, trainings: int,
-                    best_cell: str) -> None:
-    payload = {
-        "kind": kind,
-        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "backend": active_backend(),
-        "environment": _numeric_environment(),
-        "package_version": __version__,
-        "fingerprint": fingerprint,
-        "config": config.to_dict(),
-        "cells": [cell.label for cell in cells],
-        "trainings_executed": trainings,
-        "best_cell": best_cell,
-    }
-    (out_dir / "manifest").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _finalize(kind: str, config: ExperimentConfig, out_dir: Path,
               fingerprint: str, cells: list, rows: list, trainings: int,
               split: tuple, predictions: dict) -> RunOutcome:
-    write_records_csv(out_dir / "records.csv", rows)
+    write_records_csv(out_dir / rundir.RECORDS, rows)
     if not any(row["status"] == "ok" for row in rows):
         first = next((row["error"] for row in rows if row["error"]),
                      "unknown error")
         raise RuntimeError(f"every repetition failed; first error: {first}")
     best = best_cell_label(rows, config.selection_metric)
-    _write_manifest(out_dir, kind, config, fingerprint, cells, trainings,
-                    best)
+    rundir.write_manifest(out_dir, kind, config, fingerprint, cells,
+                          trainings, best)
     # Best-cell diagnostics: its first successful repetition's scores on
     # the shared test split, sample by sample.
     source = next(row for row in rows
@@ -799,13 +457,13 @@ def _finalize(kind: str, config: ExperimentConfig, out_dir: Path,
     probabilities = predictions[source["checkpoint"]]
     _, test_ds = _cell_split(next(cell for cell in cells
                                   if cell.label == best), split)
-    reports = out_dir / "reports"
-    _write_tables(reports, kind, best, config.group_by, rows,
-                  (test_ds.labels, probabilities, test_ds.metadata))
-    _write_csv(reports / "timings.csv", _TIMING_COLUMNS, _timing_rows(rows))
-    _write_predictions_csv(reports / "predictions.csv", test_ds.labels,
-                           probabilities, test_ds.metadata)
-    records = tuple({column: row[column] for column in RECORD_COLUMNS}
+    labels = test_ds.labels
+    rundir.write_reports(out_dir, kind, best, config.group_by, rows, (
+        labels, probabilities, test_ds.metadata,
+        evaluate(labels, probabilities, probabilities.shape[1])))
+    rundir.write_timings(out_dir, rows)
+    rundir.write_predictions(out_dir, labels, probabilities, test_ds.metadata)
+    records = tuple({column: row[column] for column in rundir.RECORD_COLUMNS}
                     for row in rows)
     return RunOutcome(records=records, cells=tuple(cells),
                       trainings_executed=trainings, best_cell=best,
@@ -841,7 +499,7 @@ def _run_protocol(kind: str, phases, dataset,
         raise ConfigError(
             f"config expects task {config.task!r} but dataset is "
             f"{dataset.task!r}")
-    _check_group_fields(dataset.metadata, config.group_by)
+    rundir.check_group_fields(dataset.metadata, config.group_by)
     out_dir = Path(config.output_dir)
     unread = _UNREAD_FIELDS[kind]
     if kind == "cell" and config.component != "multiloss":
@@ -854,7 +512,7 @@ def _run_protocol(kind: str, phases, dataset,
         try:
             trained, reused = phase(dataset, config, rows)
         except RuntimeError:
-            write_records_csv(out_dir / "records.csv", rows)
+            write_records_csv(out_dir / rundir.RECORDS, rows)
             raise
         for cell in reused:
             rows += [dict(row, phase=cell.phase, status=(
@@ -947,51 +605,6 @@ def run_search(dataset, config: ExperimentConfig) -> RunOutcome:
 def single_view_baselines(dataset, config: ExperimentConfig) -> RunOutcome:
     """One Input-fusion model per view with the configured encoder."""
     return _run_protocol("baselines", (_view_cells,), dataset, config)
-
-
-def _read_predictions(path) -> tuple:
-    """Per-sample dump back into (labels, probabilities, metadata)."""
-    header, table = read_csv(path, ("true_label",))
-    if not table:
-        raise ConfigError(f"{path} holds no prediction rows")
-    prob_columns = sorted(
-        (c for c in header if c.startswith("prob_")),
-        key=lambda c: parse_cell(path, 1, "column", int, c[len("prob_"):]))
-    rows = [(line, dict(zip(header, cells))) for line, cells in table]
-    labels = np.array(
-        [parse_cell(path, line, "true_label", int, row["true_label"])
-         for line, row in rows], dtype=np.int64)
-    probabilities = np.array(
-        [[parse_cell(path, line, c, float, row[c]) for c in prob_columns]
-         for line, row in rows], dtype=np.float64)
-    metadata = {key: np.array([row[key] for _, row in rows])
-                for key in _PREDICTION_METADATA if key in header}
-    return labels, probabilities, metadata
-
-
-def reemit_reports(run_dir) -> None:
-    """Rebuild the summary and grouped tables of an existing run directory
-    from its persisted ``records.csv`` and per-sample dump."""
-    run_dir = Path(run_dir)
-    manifest_path = run_dir / "manifest"
-    records_path = run_dir / "records.csv"
-    if not manifest_path.is_file() or not records_path.is_file():
-        raise ConfigError(
-            f"{run_dir} is not a run directory; it needs 'manifest' and "
-            f"'records.csv'")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except ValueError as exc:
-        raise ConfigError(f"unreadable manifest: {exc}") from None
-    check_structure(manifest, {"kind": str, "best_cell": str, "config": dict},
-                    str(manifest_path))
-    config = ExperimentConfig.from_dict(manifest["config"])
-    predictions_path = run_dir / "reports" / "predictions.csv"
-    _write_tables(run_dir / "reports", manifest["kind"],
-                  manifest["best_cell"], config.group_by,
-                  read_records_csv(records_path),
-                  _read_predictions(predictions_path)
-                  if predictions_path.is_file() else None)
 
 
 # ---------------------------------------------------------------------------

@@ -235,9 +235,12 @@ def linear(x, w, b) -> Tensor:
     y += bd
     out = _make(y.reshape(xd.shape[:-1] + wd.shape[1:]) if flat else y)
     if _recording(x, w, b):
+        input_grad = x.requires_grad  # a raw-data input needs none
+
         def backward(g: Array):
             g2 = g.reshape(-1, wd.shape[1]) if flat else g
-            return ((g2 @ wd.T).reshape(xd.shape), x2.T @ g2, g2.sum(axis=0))
+            gx = (g2 @ wd.T).reshape(xd.shape) if input_grad else None
+            return (gx, x2.T @ g2, g2.sum(axis=0))
 
         _record((x, w, b), out, backward)
     return out
@@ -715,11 +718,15 @@ def _normalise(x: Tensor, scale: Tensor, shift: Tensor, eps: float, axis,
     sd = scale.data
     out = _make(sd * xhat + shift.data)
     if _recording(x, scale, shift):
+        input_grad = x.requires_grad  # a raw-data input needs none
+
         def backward(g: Array):
-            dxhat = g * sd
-            m1 = np.add.reduce(dxhat, axis=axis, keepdims=True) / count
-            m2 = np.add.reduce(dxhat * xhat, axis=axis, keepdims=True) / count
-            dx = ivar * (dxhat - m1 - xhat * m2)
+            dx = None
+            if input_grad:
+                dxhat = g * sd
+                m1 = np.add.reduce(dxhat, axis=axis, keepdims=True) / count
+                m2 = np.add.reduce(dxhat * xhat, axis=axis, keepdims=True) / count
+                dx = ivar * (dxhat - m1 - xhat * m2)
             return (dx, (g * xhat).sum(axis=param_axes), g.sum(axis=param_axes))
 
         _record((x, scale, shift), out, backward)

@@ -327,7 +327,7 @@ class TestTrain:
         code, _, _ = run_cli(capsys, "train", "--config", str(config),
                              "--seed", "90", "--out", str(tmp_path / "s"))
         assert code == 0
-        from mvcrop.experiments import read_records_csv
+        from mvcrop.rundir import read_records_csv
         rows = read_records_csv(tmp_path / "s" / "records.csv")
         assert rows[0]["seed"] == 90
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import mvcrop
+from mvcrop import rundir
 from mvcrop.data import (
     Dataset,
     SynthSpec,
@@ -27,9 +28,7 @@ from mvcrop.errors import ConfigError
 from mvcrop.experiments import (
     GRID_CELL_COUNT,
     GRID_ENCODERS,
-    RECORD_COLUMNS,
     SEARCH_CELL_COUNT,
-    SUMMARY_COLUMNS,
     CellSpec,
     ExperimentConfig,
     _predict_all,
@@ -38,18 +37,23 @@ from mvcrop.experiments import (
     dataset_fingerprint,
     grid_cells,
     inspect_parameters,
-    read_records_csv,
     run_cell,
     run_grid,
     run_search,
     search_cells,
     single_view_baselines,
-    summarize,
-    write_records_csv,
 )
 from mvcrop.fusion import STRATEGIES, build_model, resolve_merge
 from mvcrop.layers import Module
 from mvcrop.rngutil import rep_seed
+from mvcrop.rundir import (
+    RECORD_COLUMNS,
+    SUMMARY_COLUMNS,
+    checkpoint_name,
+    read_records_csv,
+    summarize,
+    write_records_csv,
+)
 from mvcrop.training import TrainConfig, train
 
 TINY_OPTIONS = {
@@ -160,8 +164,8 @@ class TestCellSpec:
 
     def test_slug_is_filesystem_safe(self):
         cell = CellSpec("TAE", "Hybrid", "gfusion", view="optical")
-        for ch in "/+[]":
-            assert ch not in cell.slug
+        assert checkpoint_name(cell.label, 3) == \
+            "checkpoints/TAE_Hybrid_gfusion_optical-rep03.mvlc"
 
 
 class TestGridCells:
@@ -618,19 +622,15 @@ def timed_row(encoder, strategy, train_seconds, infer_seconds, **kw):
 
 class TestTimingTable:
     def test_error_repetitions_are_counted_but_not_averaged(self):
-        import mvcrop.experiments as exp
-
         rows = [timed_row("GRU", "Input", 2.0, 0.5, repetition=0),
                 timed_row("GRU", "Input", 9.0, 0.0, repetition=1,
                           status="error"),
                 timed_row("GRU", "Input", 4.0, 1.5, repetition=2)]
-        assert exp._timing_rows(rows) == [{
+        assert rundir._timing_rows(rows) == [{
             "cell": "GRU/Input", "phase": "", "view": "", "repetitions": 3,
             "train_seconds_mean": 3.0, "infer_seconds_mean": 1.0}]
 
     def test_reused_cell_and_all_error_cell(self):
-        import mvcrop.experiments as exp
-
         first = [timed_row("GRU", "Input", 2.0, 0.5, phase="phase1"),
                  timed_row("GRU", "Input", 7.0, 0.0, phase="phase1",
                            repetition=1, status="error")]
@@ -639,7 +639,7 @@ class TestTimingTable:
         failed = [timed_row("GRU", "Feature", 1.0, 0.0, phase="phase2",
                             repetition=rep, status="error")
                   for rep in range(2)]
-        table = exp._timing_rows(first + reused + failed)
+        table = rundir._timing_rows(first + reused + failed)
         assert [(t["phase"], t["cell"], t["repetitions"]) for t in table] == [
             ("phase1", "GRU/Input", 2), ("phase2", "GRU/Input", 2),
             ("phase2", "GRU/Feature", 2)]
@@ -647,11 +647,9 @@ class TestTimingTable:
                 for t in table] == [(2.0, 0.5), (2.0, 0.5), (None, None)]
 
     def test_baseline_cells_keep_their_view(self):
-        import mvcrop.experiments as exp
-
         rows = [timed_row("GRU", "Input", 1.0, 0.25, phase="baseline",
                           view=view) for view in ("radar", "optical")]
-        assert [(t["cell"], t["view"]) for t in exp._timing_rows(rows)] == [
+        assert [(t["cell"], t["view"]) for t in rundir._timing_rows(rows)] == [
             ("GRU/Input[radar]", "radar"), ("GRU/Input[optical]", "optical")]
 
 
@@ -791,7 +789,7 @@ class TestRunCell:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
             filter(None, (source, os.environ.get("PYTHONPATH")))))
         done = subprocess.run(
-            [sys.executable, "-c", "from mvcrop.experiments import _numeric_environment;"
+            [sys.executable, "-c", "from mvcrop.rundir import _numeric_environment;"
              "print(_numeric_environment()['blas_threads'])"],
             capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -1302,9 +1300,7 @@ class TestGroupedReporting:
 
 def per_row_predictions_csv(path, labels, probabilities, metadata):
     """Reference ``predictions.csv`` writer: one dict per sample, each value
-    formatted on its own through ``_format_value``."""
-    import mvcrop.experiments as exp
-
+    formatted on its own: ``repr`` of a float, ``str`` of anything else."""
     classes = probabilities.shape[1]
     predicted = probabilities.argmax(axis=1)
     max_probability = probabilities.max(axis=1)
@@ -1312,7 +1308,7 @@ def per_row_predictions_csv(path, labels, probabilities, metadata):
         terms = np.where(probabilities > 0.0,
                          probabilities * np.log(probabilities), 0.0)
     entropy = -terms.sum(axis=1) / np.log(classes)
-    meta_columns = [key for key in exp._PREDICTION_METADATA
+    meta_columns = [key for key in rundir._PREDICTION_METADATA
                     if key in metadata]
     columns = (["index"] + meta_columns
                + ["true_label", "predicted_label", "correct",
@@ -1337,7 +1333,8 @@ def per_row_predictions_csv(path, labels, probabilities, metadata):
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([exp._format_value(row[col]) for col in columns])
+            writer.writerow([repr(row[col]) if isinstance(row[col], float)
+                             else str(row[col]) for col in columns])
 
 
 def reloaded_report_files(outcome, out, config, dataset, dump_dir):
@@ -1358,9 +1355,10 @@ def reloaded_report_files(outcome, out, config, dataset, dump_dir):
                                      config.train.batch_size)
     dump_dir.mkdir()
     report = evaluate(test_part.labels, probabilities, test_part.classes)
-    exp._write_csv(dump_dir / "per_class.csv",
-                   ("class", "precision", "recall", "f1"),
-                   exp._per_class_rows(report))
+    rundir.write_table(dump_dir / "per_class.csv",
+                       ("class", "precision", "recall", "f1"),
+                       [(k, float(report.precision[k]), float(report.recall[k]),
+                         float(report.f1[k])) for k in range(len(report.precision))])
     per_row_predictions_csv(dump_dir / "predictions.csv", test_part.labels,
                             probabilities, test_part.metadata)
     return dump_dir
@@ -1424,11 +1422,9 @@ class TestReportsFromRunScores:
 
     def test_predictions_csv_equals_per_row_writer(self, tiny_dataset,
                                                    tmp_path):
-        import mvcrop.experiments as exp
-
         _, test_part = stratified_split(tiny_dataset, 0.3, 3)
         kinds = {test_part.metadata[key].dtype.kind
-                 for key in exp._PREDICTION_METADATA}
+                 for key in rundir._PREDICTION_METADATA}
         assert kinds == {"U", "i", "f"}
         rng = np.random.default_rng(4)
         probabilities = rng.dirichlet(np.ones(3), size=len(test_part))
@@ -1436,11 +1432,12 @@ class TestReportsFromRunScores:
         probabilities[1] = (0.5, 0.5, 0.0)  # a tie
         labels = test_part.labels.copy()
         labels[2] = 2
-        exp._write_predictions_csv(tmp_path / "columns.csv", labels,
-                                   probabilities, test_part.metadata)
+        (tmp_path / "reports").mkdir()
+        rundir.write_predictions(tmp_path, labels, probabilities,
+                                 test_part.metadata)
         per_row_predictions_csv(tmp_path / "rows.csv", labels,
                                 probabilities, test_part.metadata)
-        assert (tmp_path / "columns.csv").read_bytes() == \
+        assert (tmp_path / "reports" / "predictions.csv").read_bytes() == \
             (tmp_path / "rows.csv").read_bytes()
 
     def test_only_first_successful_repetition_is_kept(

@@ -31,24 +31,28 @@ CHILD = textwrap.dedent("""
     tracer = tracing.Tracer()
     tracing.install(tracer)
     batch, epochs, validation, test, seed = json.loads(sys.argv[3])
-    run_cell(synth_generate(SynthSpec("complementary", samples=48), seed=5),
-             ExperimentConfig(
-                 encoder="GRU", strategy="Feature", repetitions=1,
-                 seed_base=seed, test_fraction=test,
-                 encoder_options=json.loads(sys.argv[4]),
-                 train=TrainConfig(batch_size=batch, max_epochs=epochs,
-                                   patience=epochs,
-                                   validation_fraction=validation),
-                 output_dir=sys.argv[2]))
-    names = [span.name for span in tracer.spans]
-    print(json.dumps({
-        "counts": {name: names.count(name) for name in set(names)},
-        "epochs": [span.attrs["epochs"] for span in tracer.spans
-                   if span.name == "training.train"],
-        "records": [span.attrs["records"] for span in tracer.spans
-                    if span.name == "tensor.backward"],
-        "summary": tracing.summarize(tracer, 0),
-    }))
+    dataset = synth_generate(SynthSpec("complementary", samples=48), seed=5)
+    runs = []
+    for strategy in ("Feature", "Ensemble"):
+        tracer.spans, tracer.step_seconds = [], []
+        run_cell(dataset, ExperimentConfig(
+            encoder="GRU", strategy=strategy, repetitions=1,
+            seed_base=seed, test_fraction=test,
+            encoder_options=json.loads(sys.argv[4]),
+            train=TrainConfig(batch_size=batch, max_epochs=epochs,
+                              patience=epochs,
+                              validation_fraction=validation),
+            output_dir=f"{sys.argv[2]}-{strategy}"))
+        names = [span.name for span in tracer.spans]
+        runs.append({
+            "counts": {name: names.count(name) for name in set(names)},
+            "epochs": [span.attrs["epochs"] for span in tracer.spans
+                       if span.name == "training.train"],
+            "records": [span.attrs["records"] for span in tracer.spans
+                        if span.name == "tensor.backward"],
+            "summary": tracing.summarize(tracer, 0),
+        })
+    print(json.dumps(runs))
 """)
 
 
@@ -63,7 +67,7 @@ def test_tracer_counts_every_training_step(tmp_path):
          json.dumps(TINY_OPTIONS)],
         capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    traced = json.loads(done.stdout.splitlines()[-1])
+    traced, ensemble = json.loads(done.stdout.splitlines()[-1])
 
     # patience == max_epochs, so the single fit runs every epoch
     dataset = synth_generate(SynthSpec("complementary", samples=48), seed=5)
@@ -87,3 +91,16 @@ def test_tracer_counts_every_training_step(tmp_path):
     assert counts["fusion.predict"] >= 1
     assert counts["metrics.evaluate"] >= 1
     assert counts["training.checkpoint_save"] == 1
+
+    # one repetition: each protocol binding that perfbench wraps in
+    # ``experiments`` is called once, and an Ensemble cell fits through
+    # ``train_ensemble``, one ``train`` per view
+    for run in (traced, ensemble):
+        assert [run["counts"].get(name) for name in (
+            "experiments.records", "data.split", "fusion.build_model")] == [
+            1, 1, 1]
+    assert "training.train_ensemble" not in counts
+    assert ensemble["counts"]["training.train_ensemble"] == 1
+    assert ensemble["epochs"] == [EPOCHS] * len(dataset.view_names)
+    assert ensemble["summary"]["training.steps"] == (
+        len(dataset.view_names) * steps)

@@ -288,6 +288,26 @@ class TestTapeSemantics:
         T.backward(loss, tape)
         assert x.grad == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("op, shapes", [
+        (T.linear, [(4, 3), (3, 2), (2,)]),
+        (T.conv1d_same, [(2, 5, 3), (4, 3, 3), (4,)]),
+        (T.gru_sequence, [(2, 5, 3), (3, 6), (2, 6), (6,), (6,)]),
+        (T.lstm_sequence, [(2, 5, 3), (3, 8), (2, 8), (8,), (8,)]),
+        (T.layer_norm, [(4, 3), (3,), (3,)]),
+        (lambda *a: T.batch_norm_train(*a)[0], [(4, 3), (3,), (3,)]),
+    ], ids=["linear", "conv1d_same", "gru_sequence", "lstm_sequence",
+            "layer_norm", "batch_norm_train"])
+    def test_raw_data_input_gets_no_gradient(self, op, shapes, rng):
+        """A rule returns None, not a dropped array, for a first input that
+        needs no gradient, and a gradient for each parameter."""
+        data, *params = (rng.standard_normal(shape) for shape in shapes)
+        with T.Tape():
+            out = op(T.Tensor(data), *(T.Tensor(p, requires_grad=True)
+                                      for p in params))
+        grads = out.producer.backward(np.ones(out.shape))
+        assert grads[0] is None
+        assert all(g is not None for g in grads[1:])
+
     def test_mlp_grads_match_finite_differences(self, rng):
         w1 = rng.standard_normal((4, 8))
         w2 = rng.standard_normal((8, 1))

@@ -121,7 +121,10 @@ def import_run(dataset) -> None:
 def report_run(source: str) -> None:
     """Rebuild the report tables of run ``source`` in ``report/`` from a
     copy of its manifest, records and per-sample predictions."""
-    from mvcrop.experiments import reemit_reports
+    try:
+        from mvcrop.rundir import reemit_reports
+    except ImportError:  # a revision from before ``mvcrop.rundir``
+        from mvcrop.experiments import reemit_reports
 
     for name in ("manifest", "records.csv", "reports/predictions.csv"):
         target = Path("report", name)
