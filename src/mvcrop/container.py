@@ -1,13 +1,16 @@
 """The framed layout of ``.mvds`` datasets and ``.mvlc`` checkpoints: a
 little-endian header (4-byte magic, ``u32`` version, the format's own ``u64``
 fields, the ``u64`` manifest length), a compact sorted-key JSON manifest,
-then raw array blocks that must tile the payload exactly."""
+then raw array blocks that must tile the payload exactly. ``replacing`` is
+how the package writes every file: a kill mid-write leaves the old one."""
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +24,26 @@ def _header(fields: int) -> struct.Struct:
     return struct.Struct("<4sI" + "Q" * (fields + 1))
 
 
+@contextmanager
+def replacing(path, binary: bool = False):
+    """A handle on a sibling temporary file that replaces ``path`` when the
+    block ends; on an error it is removed and ``path`` keeps its bytes. The
+    handle is binary, or text that writes line ends as given."""
+    path = Path(path)
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        with (open(temporary, "wb") if binary
+              else open(temporary, "w", newline="")) as handle:
+            yield handle
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
 def write(path, magic: bytes, fields: tuple, manifest: dict, arrays) -> None:
     """Write the header, the manifest, then each array's C-order bytes."""
     body = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(_header(len(fields)).pack(magic, VERSION, *fields, len(body)))
         fh.write(body)
         for arr in arrays:

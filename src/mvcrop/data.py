@@ -23,9 +23,7 @@ from .views import ViewSchema
 __all__ = [
     "Dataset",
     "EntropyReport",
-    "MultiViewSample",
     "SynthSpec",
-    "compute_ndvi",
     "entropy_report",
     "import_csv",
     "load_dataset",
@@ -43,15 +41,6 @@ _TASK_CLASSES = {"binary": 2, "multicrop": 10}
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MultiViewSample:
-    """One labelled sample: per-view arrays plus descriptive metadata."""
-
-    views: dict
-    label: int
-    metadata: dict
 
 
 @dataclass(frozen=True)
@@ -156,16 +145,6 @@ class Dataset:
                 return schema
         raise ConfigError(f"unknown view {name!r}")
 
-    def sample(self, index: int) -> MultiViewSample:
-        index = int(index)
-        if not 0 <= index < len(self):
-            raise ConfigError(f"sample index {index} out of range for {len(self)}")
-        views = {name: self.arrays[name][index].copy() for name in self.view_names}
-        metadata = {}
-        for key, arr in self.metadata.items():
-            metadata[key] = str(arr[index]) if arr.dtype.kind == "U" else arr[index].item()
-        return MultiViewSample(views=views, label=int(self.labels[index]), metadata=metadata)
-
     # -- derived datasets ----------------------------------------------------
 
     def batch(self, index) -> dict:
@@ -202,37 +181,23 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _ndvi(optical: np.ndarray, red_index: int, nir_index: int) -> np.ndarray:
-    """NDVI over the last (channel) axis, kept as a one-channel axis."""
-    channels = optical.shape[-1]
-    for idx in (red_index, nir_index):
-        if not 0 <= idx < channels:
-            raise ConfigError(f"band index {idx} out of range for {channels} channels")
-    red = optical[..., red_index]
-    nir = optical[..., nir_index]
-    den = nir + red
-    safe = np.where(den == 0.0, 1.0, den)
-    return np.where(den == 0.0, 0.0, (nir - red) / safe)[..., None]
+# channels of the red and near-infrared bands in the canonical optical view
+_RED, _NIR = 2, 6
 
 
-def compute_ndvi(optical, red_index: int = 2, nir_index: int = 6) -> np.ndarray:
-    """Normalized difference of the near-infrared and red bands, ``[T, 1]``.
-
-    A zero denominator yields 0 by convention.
-    """
-    arr = np.asarray(optical, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"optical series must be [T, channels], got {arr.shape}")
-    return _ndvi(arr, red_index, nir_index)
-
-
-def with_ndvi(dataset: Dataset, red_index: int = 2, nir_index: int = 6) -> Dataset:
-    """Return a copy of ``dataset`` with a derived one-channel ``ndvi`` view."""
+def with_ndvi(dataset: Dataset) -> Dataset:
+    """Return a copy of ``dataset`` with a derived one-channel ``ndvi`` view:
+    ``(nir - red) / (nir + red)`` of the canonical ``optical`` view at every
+    step, and 0 where that denominator is zero."""
     if "optical" not in dataset.view_names:
         raise ConfigError("ndvi derivation requires an 'optical' view")
     if "ndvi" in dataset.view_names:
         raise ConfigError("dataset already has an 'ndvi' view")
-    ndvi = _ndvi(dataset.arrays["optical"].astype(np.float64), red_index, nir_index)
+    optical = dataset.arrays["optical"].astype(np.float64)
+    red, nir = optical[..., _RED], optical[..., _NIR]
+    den = nir + red
+    safe = np.where(den == 0.0, 1.0, den)
+    ndvi = np.where(den == 0.0, 0.0, (nir - red) / safe)[..., None]
     schema = ViewSchema("ndvi", True, 1, dataset.schema("optical").steps)
     return replace(
         dataset,
@@ -339,14 +304,12 @@ class EntropyReport:
     """Per-view, per-feature spectral-entropy means with summary statistics."""
 
     per_feature: dict
-    per_view_mean: dict
     summary: dict
 
 
 def entropy_report(dataset: Dataset, segments: int = 2) -> EntropyReport:
     """Mean spectral entropy of every (temporal view, feature) pair."""
     per_feature = {}
-    per_view_mean = {}
     summary = {}
     for schema in dataset.schemas:
         if not schema.temporal:
@@ -358,14 +321,13 @@ def entropy_report(dataset: Dataset, segments: int = 2) -> EntropyReport:
             values.append(float(np.mean(vals)) if vals else 0.0)
         per_feature[schema.name] = tuple(values)
         flat = np.asarray(values, dtype=np.float64)
-        per_view_mean[schema.name] = float(flat.mean())
         summary[schema.name] = {
             "min": float(flat.min()),
             "max": float(flat.max()),
             "mean": float(flat.mean()),
             "std": float(flat.std()),
         }
-    return EntropyReport(per_feature=per_feature, per_view_mean=per_view_mean, summary=summary)
+    return EntropyReport(per_feature=per_feature, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +460,9 @@ def load_dataset(path) -> Dataset:
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-# label-file metadata columns: (parser, value when the file omits the column)
-_METADATA_COLUMNS = {
+# label-file metadata columns, typed alike when a run reads them back:
+# (parser, value when the file omits the column)
+METADATA_COLUMNS = {
     "country": (str, "unknown"),
     "continent": (str, "unknown"),
     "year": (int, 0),
@@ -600,14 +563,14 @@ def import_csv(
     view_rows = {s.name: _read_view(view_files[s.name], s) for s in schemas}
 
     header, table = _read_keyed(label_file, ("label",))
-    extra = [c for c in header[1:] if c != "label" and c not in _METADATA_COLUMNS]
+    extra = [c for c in header[1:] if c != "label" and c not in METADATA_COLUMNS]
     if extra:
         raise FormatError(f"{label_file} line 1: unknown columns {extra}")
     kept, labels, records = [], [], []
     for sid, (line, cells) in table.items():
-        record = {key: default for key, (_, default) in _METADATA_COLUMNS.items()}
+        record = {key: default for key, (_, default) in METADATA_COLUMNS.items()}
         for name, cell in zip(header[1:], cells[1:]):
-            convert = int if name == "label" else _METADATA_COLUMNS[name][0]
+            convert = int if name == "label" else METADATA_COLUMNS[name][0]
             record[name] = (cell if convert is str
                             else parse_cell(label_file, line, name, convert, cell))
         if not 0 <= record["label"] < classes:
@@ -637,7 +600,7 @@ def import_csv(
                 for s in schemas},
         labels=np.asarray(labels, dtype=np.int64),
         metadata={key: np.asarray([record[key] for record in records])
-                  for key in _METADATA_COLUMNS},
+                  for key in METADATA_COLUMNS},
     )
 
 

@@ -259,9 +259,7 @@ class AttentionEncoder(Encoder):
 
     The master query is either the time-average of per-step query projections
     (``learned_query=False``) or a single learnable vector shared across
-    samples (``learned_query=True``). After each forward pass the per-head
-    attention weights are exposed on ``last_attention`` as ``[B, H, T]`` and
-    the master queries on ``last_master_query`` as ``[B, H, key_dim]``.
+    samples (``learned_query=True``).
     """
 
     def __init__(self, schema: ViewSchema, config: EncoderConfig,
@@ -294,8 +292,6 @@ class AttentionEncoder(Encoder):
         self.out = Linear(heads * self.value_width, config.embedding_dim)
         self.drop = Dropout(config.dropout)
         self.learned_query = learned_query
-        self.last_attention: np.ndarray | None = None
-        self.last_master_query: np.ndarray | None = None
 
     def forward(self, x, rng=None) -> Tensor:
         x = self._check_temporal(x)
@@ -309,15 +305,10 @@ class AttentionEncoder(Encoder):
             values = reshape(self.w_v(e), (batch, steps, heads, self.value_width))
         if self.learned_query:
             q_master = reshape(self.q_master, (1, 1, heads, kd))
-            q_data = np.broadcast_to(self.q_master.data.reshape(1, heads, kd),
-                                     (batch, heads, kd))
         else:
             per_step = reshape(self.w_q(e), (batch, steps, heads, kd))
             q_master = reduce_mean(per_step, axis=1, keepdims=True)
-            q_data = q_master.data.reshape(batch, heads, kd)
-        pooled, weights = attention_pool(q_master, keys, values, kd)
-        self.last_attention = np.ascontiguousarray(np.transpose(weights.data, (0, 2, 1)))
-        self.last_master_query = np.array(q_data)
+        pooled, _ = attention_pool(q_master, keys, values, kd)
         emb = self.out(reshape(pooled, (batch, heads * self.value_width)))
         return self.drop(emb, rng)
 

@@ -462,7 +462,8 @@ def _finalize(kind: str, config: ExperimentConfig, out_dir: Path,
         labels, probabilities, test_ds.metadata,
         evaluate(labels, probabilities, probabilities.shape[1])))
     rundir.write_timings(out_dir, rows)
-    rundir.write_predictions(out_dir, labels, probabilities, test_ds.metadata)
+    rundir.write_predictions(out_dir, labels, probabilities, test_ds.metadata,
+                             config.group_by)
     records = tuple({column: row[column] for column in rundir.RECORD_COLUMNS}
                     for row in rows)
     return RunOutcome(records=records, cells=tuple(cells),

@@ -88,23 +88,22 @@ class FusionOutputs:
 
     probabilities: Tensor
     view_probabilities: dict[str, Tensor] | None = None
-    feature_probabilities: Tensor | None = None
-    decision_probabilities: Tensor | None = None
+
+
+# width of a prediction head's hidden layer
+HEAD_HIDDEN = 64
 
 
 class PredictionHead(Module):
     """Linear -> batch-norm -> relu -> dropout -> linear -> softmax."""
 
-    def __init__(self, in_dim: int, classes: int, hidden: int = 64,
-                 dropout: float = 0.2) -> None:
+    def __init__(self, in_dim: int, classes: int, dropout: float = 0.2) -> None:
         if classes < 2:
             raise ConfigError(f"need at least 2 classes, got {classes}")
-        self.in_dim = in_dim
-        self.classes = classes
-        self.fc1 = Linear(in_dim, hidden)
-        self.norm = BatchNorm(hidden)
+        self.fc1 = Linear(in_dim, HEAD_HIDDEN)
+        self.norm = BatchNorm(HEAD_HIDDEN)
         self.drop = Dropout(dropout)
-        self.fc2 = Linear(hidden, classes)
+        self.fc2 = Linear(HEAD_HIDDEN, classes)
 
     def forward(self, x: Tensor, rng=None) -> Tensor:
         h = relu(self.norm(self.fc1(x)))
@@ -133,15 +132,13 @@ class GatedMerge(Module):
 
     The gate maps the concatenated representations to one logit per
     (view, feature) pair; a softmax across views turns these into convex
-    weights at every feature position. ``last_weights`` keeps the most
-    recent weights as ``[B, V, width]`` for inspection.
+    weights at every feature position.
     """
 
     def __init__(self, views: int, width: int) -> None:
         self.views = views
         self.width = width
         self.gate = Linear(views * width, views * width, zero_init=True)
-        self.last_weights: np.ndarray | None = None
 
     def forward(self, zs: list[Tensor]) -> Tensor:
         stacked = _stack_views(zs)
@@ -151,7 +148,6 @@ class GatedMerge(Module):
         # a concat of its own: sharing the stack's changes gradient bits
         logits = self.gate(concat(zs, axis=1))
         alpha = softmax(reshape(logits, stacked.shape), axis=1)
-        self.last_weights = alpha.data.copy()
         return reduce_sum(alpha * stacked, axis=1)
 
     __call__ = forward
@@ -261,7 +257,6 @@ class InputFusion(MVLModel):
                  classes: int, merge: str = "concat") -> None:
         self.views = list(views)
         self.merge_kind = merge
-        self.classes = classes
         steps = {v.steps for v in views if v.temporal}
         if len(steps) > 1:
             raise ConfigError(f"temporal views disagree on steps: {sorted(steps)}")
@@ -394,9 +389,7 @@ class HybridFusion(_PerViewFusion):
                       for v, z in zip(self.views, zs)}
         decision_probs = average_probabilities(list(view_probs.values()))
         final = average_probabilities([feature_probs, decision_probs])
-        return FusionOutputs(probabilities=final, view_probabilities=view_probs,
-                             feature_probabilities=feature_probs,
-                             decision_probabilities=decision_probs)
+        return FusionOutputs(probabilities=final, view_probabilities=view_probs)
 
 
 class EnsembleModel(MVLModel):
@@ -412,7 +405,6 @@ class EnsembleModel(MVLModel):
             raise ConfigError(f"incomplete ensemble, mismatched members: {missing}")
         self.views = list(views)
         self.members = dict(members)
-        self.classes = next(iter(members.values())).classes
 
     def forward(self, batch: dict, rng=None) -> FusionOutputs:
         outs = [self.members[v.name].forward(batch, rng).probabilities

@@ -53,16 +53,12 @@ class Module:
                         out += item._walk(f"{prefix}{attr}.{key}.")
         return out
 
-    def named_parameters(self, prefix: str = "") -> dict[str, Parameter]:
-        out: dict[str, Parameter] = {}
-        for name, node in self._walk(prefix):
-            if isinstance(node, Parameter):
-                node.name = name
-                out[name] = node
-        return out
+    def named_parameters(self) -> dict[str, Parameter]:
+        return {name: node for name, node in self._walk()
+                if isinstance(node, Parameter)}
 
-    def named_buffers(self, prefix: str = "") -> dict[str, np.ndarray]:
-        return {f"{path}{key}": arr for path, node in self._walk(prefix)
+    def named_buffers(self) -> dict[str, np.ndarray]:
+        return {f"{path}{key}": arr for path, node in self._walk()
                 if isinstance(node, Module)
                 for key, arr in getattr(node, "_buffers", {}).items()}
 
@@ -131,14 +127,16 @@ class Conv1dSame(Module):
     __call__ = forward
 
 
+# weight of the newest batch statistics in BatchNorm's running buffers
+MOMENTUM = 0.1
+
+
 class BatchNorm(Module):
     """Batch normalisation over all axes but the last (per-feature stats)."""
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
+    def __init__(self, dim: int) -> None:
         self.gamma = Parameter(np.ones(dim), init="ones")
         self.beta = Parameter(np.zeros(dim), init="zeros")
-        self.momentum = momentum
-        self.eps = eps
         self._buffers = {
             "running_mean": np.zeros(dim),
             "running_var": np.ones(dim),
@@ -146,27 +144,25 @@ class BatchNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if self.mode == "train":
-            out, mean, var = batch_norm_train(x, self.gamma, self.beta, self.eps)
-            m = self.momentum
-            self._buffers["running_mean"] = (1 - m) * self._buffers["running_mean"] + m * mean
-            self._buffers["running_var"] = (1 - m) * self._buffers["running_var"] + m * var
+            out, mean, var = batch_norm_train(x, self.gamma, self.beta)
+            buffers, m = self._buffers, MOMENTUM
+            buffers["running_mean"] = (1 - m) * buffers["running_mean"] + m * mean
+            buffers["running_var"] = (1 - m) * buffers["running_var"] + m * var
             return out
         return batch_norm_infer(
             x, self.gamma, self.beta,
-            self._buffers["running_mean"], self._buffers["running_var"], self.eps,
-        )
+            self._buffers["running_mean"], self._buffers["running_var"])
 
     __call__ = forward
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5) -> None:
+    def __init__(self, dim: int) -> None:
         self.gain = Parameter(np.ones(dim), init="ones")
         self.bias = Parameter(np.zeros(dim), init="zeros")
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gain, self.bias, self.eps)
+        return layer_norm(x, self.gain, self.bias)
 
     __call__ = forward
 

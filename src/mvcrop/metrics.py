@@ -113,17 +113,15 @@ def f1_scores(cm: np.ndarray) -> F1Report:
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied values sharing their average rank."""
+    """1-based ranks with tied values sharing their average rank: a run of
+    equal scores at stably sorted positions ``i..j`` ranks
+    ``0.5 * (i + j) + 1``. Runs break where ``!=`` holds, so NaNs never tie."""
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.shape[0], dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ordered = scores[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    last = np.r_[first[1:], len(ordered)] - 1
+    ranks = np.empty(len(ordered), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 
@@ -211,19 +209,16 @@ def grouped_report(y_true, probabilities, metadata: dict, group_by: str,
                    classes: int) -> dict:
     """One MetricsReport per distinct group value.
 
-    ``group_by`` is "class" (groups by true label) or any per-sample key in
-    ``metadata``; anything else is rejected.
+    ``group_by`` is any per-sample key in ``metadata``; anything else is
+    rejected.
     """
     y = _as_labels(y_true, classes, "true")
     probs = np.asarray(probabilities, dtype=np.float64)
-    if group_by == "class":
-        values = y
-    elif group_by in metadata:
-        values = np.asarray(metadata[group_by])
-        if values.shape[0] != y.shape[0]:
-            raise ShapeError(f"metadata {group_by!r} length mismatch")
-    else:
+    if group_by not in metadata:
         raise ConfigError(f"unknown grouping key {group_by!r}")
+    values = np.asarray(metadata[group_by])
+    if values.shape[0] != y.shape[0]:
+        raise ShapeError(f"metadata {group_by!r} length mismatch")
     reports = {}
     for value in np.unique(values):
         mask = values == value

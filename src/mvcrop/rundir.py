@@ -15,14 +15,14 @@ import csv
 import ctypes
 import json
 import os
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import parse_cell, read_csv
+from .container import replacing
+from .data import METADATA_COLUMNS, parse_cell, read_csv
 from .errors import ConfigError, check_structure
 from .kernels import active_backend
 from .metrics import evaluate, grouped_report, row_entropy
@@ -102,25 +102,11 @@ def check_group_fields(metadata: dict, group_by) -> None:
                 f"{key!r}; available fields: {sorted(metadata)}")
 
 
-@contextmanager
-def _replacing(path):
-    """A text handle on a sibling temporary file that replaces ``path`` when
-    the block ends; on an error it is removed and ``path`` keeps its bytes."""
-    path = Path(path)
-    temporary = path.with_name(path.name + ".tmp")
-    try:
-        with open(temporary, "w", newline="") as handle:
-            yield handle
-        os.replace(temporary, path)
-    finally:
-        temporary.unlink(missing_ok=True)
-
-
 def write_table(path, header, rows) -> None:
     """A CSV of ``header`` and ``rows``, each a sequence of values in header
     order. ``csv`` formats every cell: a float by ``repr``, so it reads back
     exactly, None as an empty cell and anything else by ``str``."""
-    with _replacing(path) as handle:
+    with replacing(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -205,7 +191,7 @@ def _write_summary_markdown(path, summary: list, best_cell: str,
         cells = [_mean_std(entry, metric, 1, 3) for metric in
                  ("max_probability", "prediction_entropy")]
         lines.append(f"| {entry['cell']} | {' | '.join(cells)} |")
-    with _replacing(path) as handle:
+    with replacing(path) as handle:
         handle.write("\n".join(lines) + "\n")
 
 
@@ -260,8 +246,17 @@ def write_timings(run_dir, rows: list) -> None:
                 _cells(_timing_rows(rows), _TIMING_COLUMNS))
 
 
+def _prediction_metadata(available, group_by) -> list:
+    """The metadata columns of ``predictions.csv``: the listed ones that
+    ``available`` holds, then each other grouping field, so that
+    ``reemit_reports`` can group by it again."""
+    listed = [key for key in _PREDICTION_METADATA if key in available]
+    return listed + [key for key in group_by
+                     if key not in listed and key in available]
+
+
 def write_predictions(run_dir, labels: np.ndarray, probabilities: np.ndarray,
-                      metadata: dict) -> None:
+                      metadata: dict, group_by) -> None:
     """``reports/predictions.csv`` in the directory that ``write_reports``
     made, built column by column with one row per sample: its metadata, true
     and predicted label, maximum probability, normalised entropy and class
@@ -269,7 +264,7 @@ def write_predictions(run_dir, labels: np.ndarray, probabilities: np.ndarray,
     classes = probabilities.shape[1]
     predicted = probabilities.argmax(axis=1)
     entropy = row_entropy(probabilities) / np.log(classes)
-    meta_columns = [key for key in _PREDICTION_METADATA if key in metadata]
+    meta_columns = _prediction_metadata(metadata, group_by)
     header = (["index"] + meta_columns
               + ["true_label", "predicted_label", "correct",
                  "max_probability", "entropy"]
@@ -282,9 +277,11 @@ def write_predictions(run_dir, labels: np.ndarray, probabilities: np.ndarray,
                 zip(*(column.tolist() for column in columns)))
 
 
-def _read_scores(path) -> tuple:
+def _read_scores(path, group_by) -> tuple:
     """``predictions.csv`` back into the best cell's scores: (labels,
-    probabilities, metadata, MetricsReport)."""
+    probabilities, metadata, MetricsReport). A metadata column that the
+    dataset types as a number reads back as that number, so groups sort as
+    they did in the run."""
     header, table = read_csv(path, ("true_label",))
     if not table:
         raise ConfigError(f"{path} holds no prediction rows")
@@ -298,8 +295,13 @@ def _read_scores(path) -> tuple:
     probabilities = np.array(
         [[parse_cell(path, line, c, float, row[c]) for c in prob_columns]
          for line, row in rows], dtype=np.float64)
-    metadata = {key: np.array([row[key] for _, row in rows])
-                for key in _PREDICTION_METADATA if key in header}
+    metadata = {}
+    for key in _prediction_metadata(header, group_by):
+        convert = METADATA_COLUMNS[key][0] if key in METADATA_COLUMNS else str
+        metadata[key] = np.array([
+            row[key] if convert is str
+            else parse_cell(path, line, key, convert, row[key])
+            for line, row in rows])
     return (labels, probabilities, metadata,
             evaluate(labels, probabilities, probabilities.shape[1]))
 
@@ -347,7 +349,7 @@ def write_manifest(run_dir, kind: str, config, fingerprint: str, cells,
         "config": config.to_dict(), "cells": [cell.label for cell in cells],
         "trainings_executed": trainings, "best_cell": best_cell,
     }
-    with _replacing(Path(run_dir) / MANIFEST) as handle:
+    with replacing(Path(run_dir) / MANIFEST) as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -373,5 +375,6 @@ def reemit_reports(run_dir) -> None:
     rows = read_records_csv(records_path)
     predictions_path = run_dir / REPORTS / _PREDICTIONS
     write_reports(run_dir, manifest["kind"], manifest["best_cell"],
-                  config.group_by, rows, _read_scores(predictions_path)
+                  config.group_by, rows,
+                  _read_scores(predictions_path, config.group_by)
                   if predictions_path.is_file() else None)

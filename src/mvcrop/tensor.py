@@ -153,14 +153,13 @@ def _record(inputs: tuple[Tensor, ...], output: Tensor, backward) -> None:
 
 
 class Parameter(Tensor):
-    """A named trainable leaf tensor. ``init`` tags the initialisation
+    """A trainable leaf tensor. ``init`` tags the initialisation
     policy and ``fan`` overrides the fan-in that it scales by."""
 
-    __slots__ = ("name", "init", "fan")
+    __slots__ = ("init", "fan")
 
     def __init__(self, data, init: str = "fanin_uniform", fan: int | None = None) -> None:
         super().__init__(data, requires_grad=True)
-        self.name = ""
         self.init = init
         self.fan = fan
 
@@ -699,21 +698,25 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
 # normalisation and dropout
 # ---------------------------------------------------------------------------
 
-def _normalise(x: Tensor, scale: Tensor, shift: Tensor, eps: float, axis,
+# the epsilon inside every normaliser's square root
+NORM_EPS = 1e-5
+
+
+def _normalise(x: Tensor, scale: Tensor, shift: Tensor, axis,
                keepdims: bool, count: float, param_axes):
-    """``scale * (x - mean) / sqrt(var + eps) + shift`` with the statistics
-    taken over ``axis`` (``count`` entries each): the shared forward and
-    backward of ``batch_norm_train`` and ``layer_norm``. Biased variance,
-    epsilon inside the square root. ``keepdims`` keeps the reduced axes in
-    the returned statistics, and ``param_axes`` are the axes that the scale
-    and shift gradients sum over. Returns ``(out, mean, var)``.
+    """``scale * (x - mean) / sqrt(var + NORM_EPS) + shift`` with the
+    statistics taken over ``axis`` (``count`` entries each): the shared
+    forward and backward of ``batch_norm_train`` and ``layer_norm``. Biased
+    variance, epsilon inside the square root. ``keepdims`` keeps the reduced
+    axes in the returned statistics, and ``param_axes`` are the axes that the
+    scale and shift gradients sum over. Returns ``(out, mean, var)``.
     """
     xd = x.data
     # ndarray.mean/var arithmetic without their Python wrappers
     mean = np.add.reduce(xd, axis=axis, keepdims=keepdims) / count
     centred = xd - mean
     var = np.add.reduce(centred * centred, axis=axis, keepdims=keepdims) / count
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = centred * ivar
     sd = scale.data
     out = _make(sd * xhat + shift.data)
@@ -733,7 +736,7 @@ def _normalise(x: Tensor, scale: Tensor, shift: Tensor, eps: float, axis,
     return out, mean, var
 
 
-def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor):
     """Normalise over all axes but the last using batch statistics.
 
     Returns ``(out, batch_mean, batch_var)``, the statistics ``[C]``. The
@@ -748,16 +751,14 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     # numpy handles an int axis and a float divisor faster than a tuple and
     # an int; the arithmetic is the same
     axes = 0 if xd.ndim == 2 else tuple(range(xd.ndim - 1))
-    return _normalise(x, gamma, beta, eps, axes, False,
+    return _normalise(x, gamma, beta, axes, False,
                       float(xd.size // xd.shape[-1]), axes)
 
 
-def batch_norm_infer(
-    x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array, running_var: Array,
-    eps: float = 1e-5,
-) -> Tensor:
+def batch_norm_infer(x: Tensor, gamma: Tensor, beta: Tensor,
+                     running_mean: Array, running_var: Array) -> Tensor:
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    ivar = 1.0 / np.sqrt(running_var + eps)
+    ivar = 1.0 / np.sqrt(running_var + NORM_EPS)
     xhat = (x.data - running_mean) * ivar
     gd = gamma.data
     out = _make(gd * xhat + beta.data)
@@ -768,12 +769,12 @@ def batch_norm_infer(
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalise each row over the last axis, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     if x.shape[-1] != gain.shape[-1]:
         raise ShapeError(f"layer norm width mismatch: {x.shape} vs gain {gain.shape}")
-    return _normalise(x, gain, bias, eps, -1, True, float(x.shape[-1]),
+    return _normalise(x, gain, bias, -1, True, float(x.shape[-1]),
                       tuple(range(x.ndim - 1)))[0]
 
 

@@ -91,21 +91,17 @@ def weighted_cross_entropy(probabilities, labels, weights=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-class Adam:
-    """Adam with bias correction: ``theta -= lr * mhat / (sqrt(vhat) + eps)``."""
+# Adam's moment decay rates and the denominator's epsilon
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8) -> None:
+
+class Adam:
+    """Adam with bias correction: ``theta -= lr * mhat / (sqrt(vhat) + EPS)``."""
+
+    def __init__(self, lr: float = 1e-3) -> None:
         if lr <= 0:
             raise ConfigError("learning rate must be positive")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigError("betas must lie in [0, 1)")
-        if eps <= 0:
-            raise ConfigError("eps must be positive")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.state: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.step_count = 0
 
@@ -124,12 +120,12 @@ class Adam:
             else:
                 m = np.zeros_like(param.data)
                 v = np.zeros_like(param.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+            m = BETA1 * m + (1.0 - BETA1) * grad
+            v = BETA2 * v + (1.0 - BETA2) * grad * grad
             self.state[name] = (m, v)
-            mhat = m / (1.0 - self.beta1 ** t)
-            vhat = v / (1.0 - self.beta2 ** t)
-            param.data = param.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            mhat = m / (1.0 - BETA1 ** t)
+            vhat = v / (1.0 - BETA2 ** t)
+            param.data = param.data - self.lr * mhat / (np.sqrt(vhat) + EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -164,3 +164,19 @@ def kappa_binary_closed_form(tp: int, fn: int, fp: int, tn: int) -> float:
     if denominator == 0:
         raise NumericError("kappa undefined: chance agreement is 1")
     return 2 * (tp * tn - fn * fp) / denominator
+
+
+def average_ranks_loop(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks with tied values sharing their average rank, one run
+    of equal sorted scores at a time."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.shape[0], dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(sorted_scores):
+        j = i
+        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

@@ -53,6 +53,53 @@ class TestFraming:
 TWO_BLOCKS = [("a", "<f8", (1,), 0), ("b", "<f8", (1,), 8)]
 
 
+class _FailingHandle:
+    """A file handle whose ``fail_at``-th write raises, as a full disk does."""
+
+    def __init__(self, handle, fail_at: int) -> None:
+        self.handle, self.fail_at = handle, fail_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.handle.close()
+
+    def write(self, data):
+        self.fail_at -= 1
+        if self.fail_at == 0:
+            raise OSError("No space left on device")
+        return self.handle.write(data)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("fail_at", [1, 3, 5])
+    def test_failed_checkpoint_write_keeps_the_old_bytes(
+            self, tmp_path, monkeypatch, fail_at):
+        path = tmp_path / "m.mvlc"
+        model = tiny_model()
+        save_checkpoint(model, path, extra={"seed": 0})
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            container, "open",
+            lambda *args, **kw: _FailingHandle(open(*args, **kw), fail_at),
+            raising=False)
+        model.initialize(1)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(model, path, extra={"seed": 1})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.mvlc"]
+
+    def test_text_and_binary_handles(self, tmp_path):
+        with container.replacing(tmp_path / "a.csv") as handle:
+            handle.write("x\r\n")
+        with container.replacing(tmp_path / "b.bin", binary=True) as handle:
+            handle.write(b"\x00\n")
+        assert (tmp_path / "a.csv").read_bytes() == b"x\r\n"
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.bin"]
+
+
 class TestTiling:
     @pytest.mark.parametrize("payload, table", [
         (bytes(24), [("a", "<f8", (1,), 0), ("b", "<f8", (1,), 16)]),

@@ -17,9 +17,7 @@ from mvcrop.cli import main
 from mvcrop.data import (
     Dataset,
     EntropyReport,
-    MultiViewSample,
     SynthSpec,
-    compute_ndvi,
     entropy_report,
     import_csv,
     load_dataset,
@@ -109,15 +107,6 @@ class TestDataset:
         arrays = {k: v.astype(np.float64) for k, v in ds.arrays.items()}
         built = Dataset("binary", 2, ds.schemas, arrays, ds.labels, ds.metadata)
         assert built.arrays["optical"].dtype == np.float32
-
-    def test_sample_accessor(self):
-        ds = tiny_dataset()
-        s = ds.sample(2)
-        assert isinstance(s, MultiViewSample)
-        assert s.label == 0
-        assert np.array_equal(s.views["radar"], ds.arrays["radar"][2])
-        assert s.metadata["country"] == "india"
-        assert s.metadata["year"] == 2018
 
     def test_binary_task_requires_two_classes(self):
         ds = tiny_dataset()
@@ -214,59 +203,50 @@ class TestDataset:
 # ---------------------------------------------------------------------------
 
 
+def _with_optical(ds: Dataset, optical: np.ndarray) -> Dataset:
+    """``ds`` with its optical view replaced by ``optical``."""
+    return Dataset("binary", 2, ds.schemas, {**ds.arrays, "optical": optical},
+                   ds.labels, ds.metadata)
+
+
+def _hand_ndvi(optical: np.ndarray) -> np.ndarray:
+    """NDVI of the red (2) and near-infrared (6) bands, 0 on a zero sum."""
+    red, nir = optical[..., 2].astype(np.float64), optical[..., 6].astype(np.float64)
+    den = nir + red
+    return np.where(den == 0.0, 0.0, (nir - red) / np.where(den == 0.0, 1.0, den))
+
+
 class TestNdvi:
     def test_hand_values(self):
-        optical = np.zeros((3, 11))
-        optical[0, 2], optical[0, 6] = 0.1, 0.5  # red, nir -> 0.4/0.6
-        optical[1, 2], optical[1, 6] = 0.3, 0.3  # nir == red -> 0
-        # row 2: nir == red == 0 -> 0 by convention
-        out = compute_ndvi(optical)
-        assert out.shape == (3, 1)
-        assert abs(out[0, 0] - 0.4 / 0.6) < 1e-12
-        assert out[1, 0] == 0.0
-        assert out[2, 0] == 0.0
-
-    def test_band_indices_overridable(self):
-        optical = np.zeros((1, 4))
-        optical[0, 0], optical[0, 3] = 0.2, 0.6
-        out = compute_ndvi(optical, red_index=0, nir_index=3)
-        assert abs(out[0, 0] - 0.4 / 0.8) < 1e-12
-
-    def test_index_out_of_range(self):
-        optical = np.zeros((2, 11))
-        with pytest.raises(ConfigError):
-            compute_ndvi(optical, red_index=11)
-        with pytest.raises(ConfigError):
-            compute_ndvi(optical, nir_index=-12)
+        optical = np.zeros((6, 12, 11), dtype=np.float32)
+        optical[0, 0, 2], optical[0, 0, 6] = 0.1, 0.5  # red, nir -> 0.4/0.6
+        optical[0, 1, 2], optical[0, 1, 6] = 0.3, 0.3  # nir == red -> 0
+        # step 2: nir == red == 0 -> 0 by convention
+        out = with_ndvi(_with_optical(tiny_dataset(), optical)).arrays["ndvi"]
+        red, nir = np.float64(np.float32(0.1)), np.float64(np.float32(0.5))
+        assert out[0, 0, 0] == np.float32((nir - red) / (nir + red))
+        assert abs(out[0, 0, 0] - 0.4 / 0.6) < 1e-7
+        assert out[0, 1, 0] == 0.0
+        assert out[0, 2, 0] == 0.0
 
     def test_range_for_nonnegative_bands(self):
         rng = np.random.default_rng(5)
-        optical = rng.uniform(0.0, 1.0, size=(40, 11))
-        out = compute_ndvi(optical)
+        optical = rng.uniform(0.0, 1.0, size=(6, 12, 11))
+        out = with_ndvi(_with_optical(tiny_dataset(), optical)).arrays["ndvi"]
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
-
-    def test_requires_two_dims(self):
-        with pytest.raises(ShapeError):
-            compute_ndvi(np.zeros(11))
 
     def test_with_ndvi_appends_canonical_view(self):
         ds = tiny_dataset()
         # make the optical bands non-negative so NDVI stays in range
-        arrays = dict(ds.arrays)
-        arrays["optical"] = np.abs(arrays["optical"]) + 0.1
-        ds = Dataset("binary", 2, ds.schemas, arrays, ds.labels, ds.metadata)
+        ds = _with_optical(ds, np.abs(ds.arrays["optical"]) + 0.1)
         out = with_ndvi(ds)
         assert "ndvi" in out.view_names
         assert out.schema("ndvi") == canonical_schema("ndvi")
         assert out.arrays["ndvi"].shape == (6, 12, 1)
-        want = compute_ndvi(ds.arrays["optical"][3].astype(np.float64))
-        assert np.allclose(out.arrays["ndvi"][3], want, atol=1e-7)
+        want = _hand_ndvi(ds.arrays["optical"][3])
+        assert np.array_equal(out.arrays["ndvi"][3, :, 0], want.astype(np.float32))
         # source dataset is untouched
         assert "ndvi" not in ds.view_names
-
-    def test_with_ndvi_band_index_out_of_range(self):
-        with pytest.raises(ConfigError):
-            with_ndvi(tiny_dataset(), red_index=99)
 
     def test_with_ndvi_requires_optical(self):
         ds = tiny_dataset().restrict(["radar"])
@@ -275,10 +255,7 @@ class TestNdvi:
 
     def test_with_ndvi_rejects_duplicate(self):
         ds = tiny_dataset()
-        arrays = dict(ds.arrays)
-        arrays["optical"] = np.abs(arrays["optical"]) + 0.1
-        ds = Dataset("binary", 2, ds.schemas, arrays, ds.labels, ds.metadata)
-        once = with_ndvi(ds)
+        once = with_ndvi(_with_optical(ds, np.abs(ds.arrays["optical"]) + 0.1))
         with pytest.raises(ConfigError):
             with_ndvi(once)
 
@@ -419,8 +396,8 @@ class TestEntropyReport:
         for values in report.per_feature.values():
             for v in values:
                 assert 0.0 <= v <= 1.0
-        for name, mean in report.per_view_mean.items():
-            assert abs(mean - np.mean(report.per_feature[name])) < 1e-12
+        for name, stats in report.summary.items():
+            assert abs(stats["mean"] - np.mean(report.per_feature[name])) < 1e-12
         assert set(report.summary["optical"]) == {"min", "max", "mean", "std"}
 
     def test_static_views_are_skipped(self):

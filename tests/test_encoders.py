@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mvcrop import encoders
 from mvcrop import tensor as T
 from mvcrop.encoders import (
     ARCHITECTURES,
@@ -398,20 +399,35 @@ class TestAttentionPooling:
         assert np.array_equal(pe, positional_encoding(12, 64))
 
 
+def _pool_spy(monkeypatch) -> list:
+    """Record the ``(query, weights)`` arrays of every ``attention_pool``
+    call that an attention encoder makes."""
+    calls = []
+
+    def spy(query, keys, values, key_dim):
+        pooled, weights = attention_pool(query, keys, values, key_dim)
+        calls.append((query.data.copy(), weights.data))
+        return pooled, weights
+
+    monkeypatch.setattr(encoders, "attention_pool", spy)
+    return calls
+
+
 class TestAttentionEncoders:
-    def test_weights_sum_to_one_per_head(self):
+    def test_weights_sum_to_one_per_head(self, monkeypatch):
         rng = np.random.default_rng(4)
         schema = canonical_schema("radar")
+        calls = _pool_spy(monkeypatch)
         for arch in ("TAE", "LTAE"):
             enc = build_encoder(schema, cfg(arch))
             enc.initialize(4)
             enc.set_mode("infer")
             out = enc(T.Tensor(rng.standard_normal((5, 12, 2))))
             assert out.shape == (5, 64)
-            alpha = enc.last_attention
-            assert alpha.shape == (5, 4, 12)
+            alpha = calls.pop()[1]  # [B, T, H]
+            assert alpha.shape == (5, 12, 4)
             assert np.all(alpha >= 0.0)
-            assert np.allclose(alpha.sum(axis=2), 1.0, atol=1e-9)
+            assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
 
     def test_shared_parameters_identical_across_variants(self):
         schema = canonical_schema("radar")
@@ -422,7 +438,8 @@ class TestAttentionEncoders:
         assert np.array_equal(tae.w_k.weight.data, ltae.w_k.weight.data)
         assert np.array_equal(tae.stem.weight.data, ltae.stem.weight.data)
 
-    def test_frozen_mean_query_matches_tae(self):
+    def test_frozen_mean_query_matches_tae(self, monkeypatch):
+        calls = _pool_spy(monkeypatch)
         rng = np.random.default_rng(9)
         schema = canonical_schema("radar")
         tae = AttentionEncoder(schema, cfg("TAE"), learned_query=False)
@@ -433,7 +450,7 @@ class TestAttentionEncoders:
         ltae.set_mode("infer")
         batch = np.repeat(rng.standard_normal((1, 12, 2)), 3, axis=0)
         out_tae = tae(T.Tensor(batch))
-        ltae.q_master.data[...] = tae.last_master_query[0]
+        ltae.q_master.data[...] = calls[0][0][0, 0]  # [B, 1, H, key_dim]
         out_ltae = ltae(T.Tensor(batch))
         assert np.allclose(out_tae.data, out_ltae.data, atol=1e-12, rtol=0)
 

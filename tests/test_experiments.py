@@ -51,6 +51,7 @@ from mvcrop.rundir import (
     SUMMARY_COLUMNS,
     checkpoint_name,
     read_records_csv,
+    reemit_reports,
     summarize,
     write_records_csv,
 )
@@ -1371,6 +1372,40 @@ def assert_reports_match_reload(outcome, out, config, dataset, dump_dir):
             (dump / name).read_bytes(), name
 
 
+def _reports(out) -> dict:
+    return {path.name: path.read_bytes()
+            for path in sorted((out / "reports").iterdir())}
+
+
+class TestReemitReports:
+    """``reemit_reports`` rebuilds the run's own report bytes."""
+
+    def test_groups_by_a_field_that_predictions_did_not_list(
+            self, tiny_dataset, tmp_path):
+        config = tiny_config(tmp_path, group_by=("is_test",))
+        run_cell(tiny_dataset, config)
+        before = _reports(tmp_path)
+        assert "per_is_test.csv" in before
+        reemit_reports(tmp_path)
+        assert _reports(tmp_path) == before
+        header = before["predictions.csv"].split(b"\n")[0].split(b",")
+        assert header[1:8] == [b"latitude", b"longitude", b"year", b"continent",
+                               b"country", b"is_test", b"true_label"]
+
+    def test_numeric_groups_keep_their_order(self, tiny_dataset, tmp_path):
+        years = np.where(np.arange(len(tiny_dataset)) % 2, 999, 2016)
+        data = dataclasses.replace(
+            tiny_dataset, metadata={**tiny_dataset.metadata, "year": years})
+        config = tiny_config(tmp_path, group_by=("year", "latitude"))
+        run_cell(data, config)
+        before = _reports(tmp_path)
+        groups = [line.split(b",")[0]
+                  for line in before["per_year.csv"].splitlines()[1:]]
+        assert groups == [b"999", b"2016"]
+        reemit_reports(tmp_path)
+        assert _reports(tmp_path) == before
+
+
 class TestReportsFromRunScores:
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -1434,7 +1469,7 @@ class TestReportsFromRunScores:
         labels[2] = 2
         (tmp_path / "reports").mkdir()
         rundir.write_predictions(tmp_path, labels, probabilities,
-                                 test_part.metadata)
+                                 test_part.metadata, ("year", "continent"))
         per_row_predictions_csv(tmp_path / "rows.csv", labels,
                                 probabilities, test_part.metadata)
         assert (tmp_path / "reports" / "predictions.csv").read_bytes() == \

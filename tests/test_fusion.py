@@ -20,6 +20,7 @@ from mvcrop.fusion import (
     align_and_merge_input,
     average_probabilities,
     build_model,
+    merge_embeddings,
     multi_loss,
     resolve_merge,
 )
@@ -75,6 +76,14 @@ class TestPredictionHead:
         assert res.ok, res.max_rel_err
 
 
+def _gate_weights(gate: GatedMerge, zs) -> np.ndarray:
+    """The gate's ``[B, V, width]`` view weights for ``zs``: a softmax over
+    views of its linear map of the concatenated inputs."""
+    logits = gate.gate(T.concat(zs, axis=1))
+    shape = (zs[0].shape[0], gate.views, gate.width)
+    return T.softmax(T.reshape(logits, shape), axis=1).data
+
+
 class TestGatedMerge:
     def test_zero_init_equals_average(self):
         from mvcrop.fusion import average_embeddings
@@ -85,7 +94,7 @@ class TestGatedMerge:
         assert np.array_equal(fused.data, average_embeddings(zs).data)
         mean = np.mean([z.data for z in zs], axis=0)
         assert np.allclose(fused.data, mean, atol=1e-14)
-        assert np.allclose(gate.last_weights, 1.0 / 3.0, atol=1e-15)
+        assert np.allclose(_gate_weights(gate, zs), 1.0 / 3.0, atol=1e-15)
 
     def test_weights_sum_to_one_across_views(self):
         rng = np.random.default_rng(4)
@@ -94,11 +103,13 @@ class TestGatedMerge:
         gate.gate.weight.data[...] = rng.standard_normal(
             gate.gate.weight.data.shape)
         zs = [T.Tensor(rng.standard_normal((3, 6))) for _ in range(4)]
-        gate(zs)
-        w = gate.last_weights  # [B, V, width]
+        fused = gate(zs)
+        w = _gate_weights(gate, zs)  # [B, V, width]
         assert w.shape == (3, 4, 6)
         assert np.all(w >= 0.0)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
+        stacked = np.stack([z.data for z in zs], axis=1)
+        assert np.allclose(fused.data, (w * stacked).sum(axis=1), atol=1e-12)
 
     def test_hand_weighted_sum(self):
         gate = GatedMerge(views=2, width=2)
@@ -191,7 +202,7 @@ class TestInputFusion:
 class TestFeatureFusion:
     def test_concat_head_width_five_views(self):
         model = build_model(ALL_FIVE, "Feature", cfg("GRU"), classes=2)
-        assert model.head.in_dim == 320
+        assert model.head.fc1.weight.shape[0] == 320
         assert model.head.parameter_count() == 20802
 
     def test_identical_views_average_merge(self):
@@ -293,13 +304,26 @@ class TestDecisionFusion:
                         merge="concat")
 
 
+def _hybrid_branches(model, batch) -> tuple[np.ndarray, np.ndarray]:
+    """An infer-mode Hybrid model's feature and decision branch
+    probabilities, rebuilt from its encoders, ``feature_head`` and view
+    heads."""
+    zs = [model.encoders[v.name](batch[v.name]) for v in model.views]
+    feature = model.feature_head(merge_embeddings(zs, model.merge_kind))
+    decision = average_probabilities(
+        [model.heads[v.name](z) for v, z in zip(model.views, zs)])
+    return feature.data, decision.data
+
+
 class TestHybridFusion:
     def test_final_is_average_of_branches(self):
         model = build_model([RADAR, WEATHER], "Hybrid", cfg("GRU"), classes=2)
         model.initialize(14)
         model.set_mode("infer")
-        out = model.forward(make_batch([RADAR, WEATHER], 4))
-        avg = 0.5 * (out.feature_probabilities.data + out.decision_probabilities.data)
+        batch = make_batch([RADAR, WEATHER], 4)
+        out = model.forward(batch)
+        feature, decision = _hybrid_branches(model, batch)
+        avg = 0.5 * (feature + decision)
         assert np.allclose(out.probabilities.data, avg, atol=1e-15)
         assert np.allclose(out.probabilities.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -315,14 +339,12 @@ class TestHybridFusion:
         model.initialize(16)
         model.set_mode("infer")
         batch = make_batch([RADAR, WEATHER], 2)
-        base = model.forward(batch)
+        base = _hybrid_branches(model, batch)
         param = model.encoders["radar"].proj.weight
         param.data[0, 0] += 1e-3
-        bumped = model.forward(batch)
-        assert not np.array_equal(base.feature_probabilities.data,
-                                  bumped.feature_probabilities.data)
-        assert not np.array_equal(base.decision_probabilities.data,
-                                  bumped.decision_probabilities.data)
+        bumped = _hybrid_branches(model, batch)
+        assert not np.array_equal(base[0], bumped[0])  # feature branch
+        assert not np.array_equal(base[1], bumped[1])  # decision branch
 
 
 class TestEnsemble:
@@ -457,7 +479,6 @@ class TestModuleWalk:
             owners = [owner[id(x)] for x in named.values()]
             assert owners == sorted(owners)
         for name, p in params.items():
-            assert p.name == name
             assert _lookup(model, name) is p
         for name, arr in buffers.items():
             path, key = name.rsplit(".", 1)

@@ -8,6 +8,7 @@ import pytest
 
 from mvcrop.errors import ConfigError, NumericError, ShapeError
 from mvcrop.metrics import (
+    _average_ranks,
     auc_roc,
     average_accuracy,
     cohen_kappa,
@@ -19,7 +20,7 @@ from mvcrop.metrics import (
     row_entropy,
     uncertainty,
 )
-from reference import kappa_binary_closed_form
+from reference import average_ranks_loop, kappa_binary_closed_form
 
 # binary convention: class 1 is the positive class, rows are true labels,
 # so cm = [[TN, FP], [FN, TP]]
@@ -224,6 +225,21 @@ class TestAUC:
         labels = np.r_[np.zeros(25, dtype=int), np.ones(25, dtype=int)]
         assert 0.0 <= auc_roc(scores, labels) <= 1.0
 
+    def test_average_ranks_match_the_loop_bytes(self):
+        rng = np.random.default_rng(8)
+        pools = ([0.0, -0.0, 0.5, 1.0], [0.1, 0.2, np.nan, 0.2],
+                 np.round(rng.random(7), 1))
+        cases = [np.array([], dtype=np.float64), np.array([np.nan, np.nan, 1.0])]
+        for draw in range(600):
+            size = int(rng.integers(1, 40))
+            if draw % 3 == 2:
+                cases.append(rng.standard_normal(size))
+            else:
+                cases.append(rng.choice(pools[draw % 3], size))
+        for scores in cases:
+            assert (_average_ranks(scores).tobytes()
+                    == average_ranks_loop(scores).tobytes()), scores
+
 
 class TestUncertainty:
     def test_one_hot(self):
@@ -344,16 +360,27 @@ class TestGroupedReport:
             mask = years == year
             assert reports[year] == evaluate(y[mask], probs[mask], 2)
 
-    def test_group_by_class_uses_true_labels(self):
+    def test_group_by_a_label_field(self):
         y, probs = random_eval_case(14)
-        reports = grouped_report(y, probs, {}, "class", 2)
+        reports = grouped_report(y, probs, {"label": y}, "label", 2)
         assert set(reports) == {0, 1}
         for klass, rep in reports.items():
             # one-class subsets: kappa/AUC unavailable
             assert rep.kappa is None and rep.auc_roc is None
             assert rep.samples == int(np.sum(y == klass))
 
+    def test_field_named_class_groups_by_its_values(self):
+        y, probs = random_eval_case(16)
+        field = np.where(np.arange(len(y)) % 3 == 0, "wheat", "maize")
+        reports = grouped_report(y, probs, {"class": field}, "class", 2)
+        assert set(reports) == {"wheat", "maize"}
+        for value, rep in reports.items():
+            mask = field == value
+            assert rep == evaluate(y[mask], probs[mask], 2)
+
     def test_unknown_key_rejected(self):
         y, probs = random_eval_case(15)
         with pytest.raises(ConfigError):
             grouped_report(y, probs, {"year": np.zeros(len(y))}, "region", 2)
+        with pytest.raises(ConfigError):  # "class" names no special key
+            grouped_report(y, probs, {}, "class", 2)

@@ -194,8 +194,8 @@ class TestNormalisation:
     def test_batch_norm_infer_identity(self, rng):
         x = rng.standard_normal((5, 3))
         out = T.batch_norm_infer(T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)),
-                                 np.zeros(3), np.ones(3), eps=0.0)
-        np.testing.assert_allclose(out.data, x)
+                                 np.zeros(3), np.ones(3))
+        np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + T.NORM_EPS), rtol=1e-15)
 
     def test_batch_norm_infer_uses_running_statistics(self, rng):
         x = rng.standard_normal((6, 3)) * 2.0
