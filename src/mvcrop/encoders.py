@@ -6,6 +6,11 @@ embeddings (d = 64 by default) so any of them can feed the same merge and
 prediction stages. Parameter shapes are chosen so the per-architecture totals
 follow simple closed forms over the input channel width; see the unit tests
 for the frozen totals.
+
+Calling an encoder draws no random number: it returns the embedding before
+the encoder's dropout, ``drop``, which the model applies with its generator.
+So a model's encoders can run as concurrent branches while their masks are
+drawn in a fixed order.
 """
 from __future__ import annotations
 
@@ -102,11 +107,12 @@ class Encoder(Module):
             )
         return x
 
-    def forward(self, x, rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, x) -> Tensor:
+        """The embedding ``[B, d]`` before ``drop``."""
         raise NotImplementedError
 
-    def __call__(self, x, rng: np.random.Generator | None = None) -> Tensor:
-        return self.forward(x, rng)
+    def __call__(self, x) -> Tensor:
+        return self.forward(x)
 
 
 class MLPEncoder(Encoder):
@@ -120,9 +126,9 @@ class MLPEncoder(Encoder):
         self.fc2 = Linear(config.hidden, config.embedding_dim)
         self.drop = Dropout(config.dropout)
 
-    def forward(self, x, rng=None) -> Tensor:
+    def forward(self, x) -> Tensor:
         x = self._check_static(x)
-        return self.drop(self.fc2(relu(self.fc1(x))), rng)
+        return self.fc2(relu(self.fc1(x)))
 
 
 class _RecurrentCell(Module):
@@ -178,14 +184,14 @@ class _RecurrentEncoder(Encoder):
         self.proj = Linear(config.hidden, config.embedding_dim)
         self.drop = Dropout(config.dropout)
 
-    def forward(self, x, rng=None) -> Tensor:
+    def forward(self, x) -> Tensor:
         x = self._check_temporal(x)
         batch, steps, _ = x.shape
         seq = x
         for cell in self.cells:
             seq = cell.outputs(seq)
         last = reshape(narrow(seq, steps - 1, steps, axis=1), (batch, self.config.hidden))
-        return self.drop(self.proj(last), rng)
+        return self.proj(last)
 
 
 class GRUEncoder(_RecurrentEncoder):
@@ -227,7 +233,7 @@ class TempCNNEncoder(Encoder):
         self.out = Linear(config.dense, config.embedding_dim)
         self.drop = Dropout(config.dropout)
 
-    def forward(self, x, rng=None) -> Tensor:
+    def forward(self, x) -> Tensor:
         x = self._check_temporal(x)
         if x.shape[1] != self.schema.steps:
             raise ShapeError(
@@ -239,7 +245,7 @@ class TempCNNEncoder(Encoder):
             h = block(h)
         flat = reshape(h, (x.shape[0], self.schema.steps * self.config.hidden))
         dense = relu(self.dense_norm(self.dense(flat)))
-        return self.drop(self.out(dense), rng)
+        return self.out(dense)
 
 
 def positional_encoding(steps: int, dim: int) -> np.ndarray:
@@ -293,7 +299,7 @@ class AttentionEncoder(Encoder):
         self.drop = Dropout(config.dropout)
         self.learned_query = learned_query
 
-    def forward(self, x, rng=None) -> Tensor:
+    def forward(self, x) -> Tensor:
         x = self._check_temporal(x)
         batch, steps, _ = x.shape
         heads, kd = self.config.heads, self.config.key_dim
@@ -309,8 +315,7 @@ class AttentionEncoder(Encoder):
             per_step = reshape(self.w_q(e), (batch, steps, heads, kd))
             q_master = reduce_mean(per_step, axis=1, keepdims=True)
         pooled, _ = attention_pool(q_master, keys, values, kd)
-        emb = self.out(reshape(pooled, (batch, heads * self.value_width)))
-        return self.drop(emb, rng)
+        return self.out(reshape(pooled, (batch, heads * self.value_width)))
 
 
 _TEMPORAL_CLASSES = {

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
@@ -20,6 +21,7 @@ from time import perf_counter
 import numpy as np
 
 from . import rundir
+from .cpus import BUDGET
 from .data import Dataset, load_dataset, stratified_split
 from .encoders import EncoderConfig, build_encoder
 from .errors import ConfigError, check_fields
@@ -409,11 +411,17 @@ def _execute(cells, split: tuple, config: ExperimentConfig, out_dir: Path,
         return _run_one(cell, rep, _cell_split(cell, split), config,
                         fingerprint, out_dir, merges[cell])
 
+    def pooled_work(task):
+        with BUDGET.held():  # a running task keeps a CPU busy
+            return work(task)
+
+    pooled = config.jobs > 1 and len(tasks) > 1
     rows, kept = [], set()
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+    # a pooled caller only waits on the pool: its CPU is the pool's
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool, (
+            BUDGET.lent() if pooled else nullcontext()):
         # ``map`` yields in task order, so rows come out cell-major.
-        results = (pool.map(work, tasks) if config.jobs > 1
-                   and len(tasks) > 1 else map(work, tasks))
+        results = pool.map(pooled_work, tasks) if pooled else map(work, tasks)
         for row, probabilities in results:
             if row["status"] == "ok" and row["cell"] not in kept:
                 kept.add(row["cell"])

@@ -17,6 +17,7 @@ bit-identical to the plain average model.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .layers import BatchNorm, Dropout, Linear, Module
 from .tensor import (
     Tensor,
     as_tensor,
+    branches,
     broadcast_to,
     concat,
     reduce_sum,
@@ -272,15 +274,25 @@ class InputFusion(MVLModel):
 
     def forward(self, batch: dict, rng=None) -> FusionOutputs:
         merged = align_and_merge_input(batch, self.views, self.merge_kind)
-        z = self.encoder(merged, rng)
+        z = self.encoder.drop(self.encoder(merged), rng)
         return FusionOutputs(probabilities=self.head(z, rng))
+
+
+# Rows times encoder width (``hidden``) from which the per-view encoders of
+# one batch may run on helper threads. Below it, handing a view to another
+# thread can cost more than it saves: measured on two CPUs, the GRU, whose
+# gain comes last, breaks even between 2048 and 8192 at widths 4 to 64
+# (BENCH_21.json).
+SPREAD_WORK = 6144
 
 
 class _PerViewFusion(MVLModel):
     """One encoder per view; the Feature, Decision and Hybrid strategies.
 
-    It defines no ``forward``: each strategy keeps its own, which fixes the
-    order in which encoders and heads draw dropout masks.
+    The encoders run as concurrent branches (``tensor.branches``), before
+    any dropout. It defines no ``forward``: each strategy keeps its own,
+    which fixes the order in which the encoders' and heads' dropout masks
+    are drawn.
     """
 
     def __init__(self, views: list[ViewSchema], config: EncoderConfig,
@@ -288,6 +300,7 @@ class _PerViewFusion(MVLModel):
         self.views = list(views)
         self.merge_kind = merge
         self.classes = classes
+        self.width = config.hidden
         self.encoders = {v.name: _encoder_for(v, config) for v in views}
 
     def _view_heads(self, config: EncoderConfig) -> dict[str, PredictionHead]:
@@ -295,10 +308,17 @@ class _PerViewFusion(MVLModel):
                                        dropout=config.dropout)
                 for v in self.views}
 
+    def _encode(self, batch: dict) -> list[Tensor]:
+        """Every view's embedding before dropout, in view order."""
+        xs = [_take(batch, v.name) for v in self.views]
+        spread = xs[0].shape[0] * self.width >= SPREAD_WORK
+        return branches([partial(self.encoders[v.name], x)
+                         for v, x in zip(self.views, xs)], spread)
+
     def _embed(self, batch: dict, rng) -> list[Tensor]:
-        """Every view's embedding, in view order."""
-        return [self.encoders[v.name](_take(batch, v.name), rng)
-                for v in self.views]
+        """Every view's embedding after its dropout, in view order."""
+        return [self.encoders[v.name].drop(z, rng)
+                for v, z in zip(self.views, self._encode(batch))]
 
 
 class FeatureFusion(_PerViewFusion):
@@ -353,12 +373,11 @@ class DecisionFusion(_PerViewFusion):
         return average_probabilities(ys)
 
     def forward(self, batch: dict, rng=None) -> FusionOutputs:
-        # each view runs its encoder and then its head before the next view
+        # each view draws its encoder's and then its head's masks before the
+        # next view
         view_probs = {
-            v.name: self.heads[v.name](
-                self.encoders[v.name](_take(batch, v.name), rng), rng)
-            for v in self.views
-        }
+            v.name: self.heads[v.name](self.encoders[v.name].drop(z, rng), rng)
+            for v, z in zip(self.views, self._encode(batch))}
         fused = self.merge_probabilities(list(view_probs.values()))
         return FusionOutputs(probabilities=fused, view_probabilities=view_probs)
 

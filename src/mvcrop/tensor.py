@@ -15,16 +15,22 @@ record's routes and rule and empties the tape, so only leaf gradients
 outlive it. With no active tape the same operations run as plain numpy math,
 which is how inference mode works: an untaped op builds no backward rule and
 no record, only the output tensor.
+
+``branches`` runs independent pieces of a forward pass concurrently. Each
+records onto a sub-tape of its own, and the caller's tape gets one fork
+record that the sweep follows into the sub-tapes.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import kernels
+from .cpus import BUDGET
 from .errors import ConfigError, NumericError, ShapeError
 
 Array = np.ndarray
@@ -75,6 +81,19 @@ class _Record:
         self.shapes = shapes
         self.backward = backward
         self.grad: Array | None = None
+
+
+class _Fork(_Record):
+    """The record of one ``branches`` call on the caller's tape: the
+    branches' sub-tapes, in call order, and whether their sweeps may go to
+    helper threads. It has no inputs, rule or gradient of its own."""
+
+    __slots__ = ("tapes", "spread")
+
+    def __init__(self, tapes: list, spread: bool) -> None:
+        super().__init__((), (), None)
+        self.tapes = tapes
+        self.spread = spread
 
 
 def _recording(*inputs: "Tensor") -> bool:
@@ -291,9 +310,20 @@ def conv1d_same(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def _sigmoid(x: Array) -> Array:
     """Logistic function, 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so
-    exp never overflows. Both branches come out of one expression:
-    e^min(x, 0) is exactly 1 for x >= 0 and e^x below, with no masking."""
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(np.copysign(x, -1.0)))
+    exp never overflows. Both branches come out of one exp: with
+    e = e^-|x|, the numerator max(e, sign(x)) is exactly 1 for x >= 0 and
+    e^x below, and the denominator is 1 + e. ``min(x, -x)`` stands for -|x|
+    because it keeps a NaN's sign, so the bits equal the two-exp form's
+    (``tests/reference.py``) for every input. ``sign(x)`` rather than the
+    mask ``x >= 0`` keeps the maximum float-only: a bool operand costs a
+    cast loop that made the function slower than the two-exp form on small
+    blocks."""
+    e = np.exp(np.minimum(x, -x))
+    out = np.sign(x, out=np.empty(x.shape))  # an array even when x is 0-d
+    np.maximum(e, out, out=out)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _accumulate(total: Array | None, term: Array) -> Array:
@@ -800,6 +830,72 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, mode: str) 
 # backward sweep and gradient checking
 # ---------------------------------------------------------------------------
 
+def branches(calls: Sequence[Callable[[], object]], spread: bool) -> list:
+    """Run independent calls, each on a helper thread when ``spread`` is
+    true and a CPU is idle, else inline; returns their results in call
+    order. A call that raises is re-raised once any calls running on
+    helpers have finished (see ``cpus.CpuBudget.run``).
+
+    The calls must not depend on one another or on the order in which they
+    run: they share no tensor that needs a gradient and draw no random
+    numbers. Under an active tape each call records onto a sub-tape of its
+    own, on whichever thread runs it, and the caller's tape gets one fork
+    record holding the sub-tapes. ``backward`` sweeps them when it reaches
+    the fork, under the same rule; every consumer of a branch's output comes
+    later on the caller's tape, so by then each sub-tape's output gradients
+    are complete. Within a branch the records keep their order, so every
+    gradient receives its terms in the order of a serial forward.
+    """
+    if not _TAPES.stack:
+        return BUDGET.run(calls, spread)
+    tapes = [Tape() for _ in calls]
+    try:
+        results = BUDGET.run([partial(_on_tape, tape, call)
+                              for tape, call in zip(tapes, calls)], spread)
+    except BaseException:
+        for tape in tapes:
+            _release(tape.records)
+        raise
+    if any(tape.records for tape in tapes):
+        _TAPES.stack[-1].records.append(_Fork(tapes, spread))
+    return results
+
+
+def _on_tape(tape: Tape, call: Callable[[], object]):
+    with tape:
+        return call()
+
+
+def _sweep(records: list) -> None:
+    """Reverse pass over one tape's records; a fork sweeps its sub-tapes."""
+    for rec in reversed(records):
+        if type(rec) is _Fork:
+            BUDGET.run([partial(_sweep, tape.records) for tape in rec.tapes],
+                       rec.spread)
+            continue
+        g = rec.grad
+        if g is None:
+            continue
+        rec.grad = None
+        grads = rec.backward(g)
+        for route, shape, gi in zip(rec.routes, rec.shapes, grads):
+            if gi is None or route is None:
+                continue
+            gi = np.asarray(gi, dtype=np.float64).reshape(shape)
+            route.grad = gi if route.grad is None else route.grad + gi
+
+
+def _release(records: list) -> None:
+    """Clear every record's routes, rule and gradient, a fork's sub-tapes
+    included, and empty the list."""
+    for rec in records:
+        if type(rec) is _Fork:
+            for tape in rec.tapes:
+                _release(tape.records)
+        rec.routes = rec.backward = rec.grad = None
+    records.clear()
+
+
 def backward(loss: Tensor, tape: Tape) -> None:
     """Reverse sweep over the tape, accumulating leaf gradients into their
     ``.grad`` slots.
@@ -810,14 +906,14 @@ def backward(loss: Tensor, tape: Tape) -> None:
     routes: into the producing record's ``grad`` slot, or into a leaf's
     ``.grad``. Every consumer of a record's output comes later on the tape,
     so once the record's rule has run its output gradient is complete and
-    is dropped. A tape is swept once: when the sweep ends, on every return
-    path, each record's routes, rule and gradient are cleared and the tape is
-    emptied, which releases the saved arrays; a tensor that the caller still
-    holds keeps its ``.data`` but no graph.
+    is dropped. A fork record sweeps its sub-tapes (see ``branches``). A
+    tape is swept once: when the sweep ends, on every return path, each
+    record's routes, rule and gradient are cleared, sub-tapes included, and
+    the tape is emptied, which releases the saved arrays; a tensor that the
+    caller still holds keeps its ``.data`` but no graph.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    records = tape.records
     try:
         if not loss.requires_grad:
             return
@@ -826,21 +922,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
             loss.grad = seed
             return
         loss.producer.grad = seed
-        for rec in reversed(records):
-            g = rec.grad
-            if g is None:
-                continue
-            rec.grad = None
-            grads = rec.backward(g)
-            for route, shape, gi in zip(rec.routes, rec.shapes, grads):
-                if gi is None or route is None:
-                    continue
-                gi = np.asarray(gi, dtype=np.float64).reshape(shape)
-                route.grad = gi if route.grad is None else route.grad + gi
+        _sweep(tape.records)
     finally:
-        for rec in records:
-            rec.routes = rec.backward = rec.grad = None
-        records.clear()
+        _release(tape.records)
 
 
 @dataclass

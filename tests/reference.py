@@ -166,6 +166,12 @@ def kappa_binary_closed_form(tp: int, fn: int, fp: int, tn: int) -> float:
     return 2 * (tp * tn - fn * fp) / denominator
 
 
+def sigmoid_two_exp(x: np.ndarray) -> np.ndarray:
+    """The logistic function as ``_sigmoid`` computed it before it took one
+    exp: ``e^min(x, 0) / (1 + e^-|x|)``, with -|x| as ``copysign(x, -1)``."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(np.copysign(x, -1.0)))
+
+
 def average_ranks_loop(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with tied values sharing their average rank, one run
     of equal sorted scores at a time."""

@@ -104,3 +104,71 @@ def test_tracer_counts_every_training_step(tmp_path):
     assert ensemble["epochs"] == [EPOCHS] * len(dataset.view_names)
     assert ensemble["summary"]["training.steps"] == (
         len(dataset.view_names) * steps)
+
+
+BRANCH_CHILD = textwrap.dedent("""
+    import json, os, sys, threading
+    sys.path.insert(0, sys.argv[1])
+    import tracing
+    from mvcrop import encoders, training
+    from mvcrop.data import SynthSpec, synth_generate
+    from mvcrop.encoders import EncoderConfig
+    from mvcrop.fusion import build_model
+
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    traced_call = encoders.Encoder.__call__
+    calls = []
+
+    def by_view(self, *args):
+        calls.append((self.schema.name, self.mode))
+        return traced_call(self, *args)
+
+    encoders.Encoder.__call__ = by_view
+    samples, batch = json.loads(sys.argv[2])
+    dataset = synth_generate(SynthSpec("complementary", samples=samples), seed=5)
+    model = build_model(list(dataset.schemas), "Feature", EncoderConfig("GRU"),
+                        classes=dataset.classes)
+    model.initialize(1)
+    training.train(model, dataset, training.TrainConfig(
+        batch_size=batch, max_epochs=1, patience=1))
+    main = threading.main_thread().ident
+    steps = [span for span in tracer.spans
+             if span.name == "encoders.forward" and span.phase == "step"]
+    print(json.dumps({
+        "summary": tracing.summarize(tracer, main),
+        "views": dataset.view_names,
+        "train_calls": [name for name, mode in calls if mode == "train"],
+        "step_spans": len(steps),
+        "helper_spans": sum(span.thread != main for span in steps),
+        "cpus": os.cpu_count(),
+    }))
+""")
+
+
+def test_tracer_sees_each_view_encoder_once_per_step():
+    """A paper-width two-view Feature step runs its encoders as branches:
+    the tracer still counts the planned steps, and each view's encoder
+    gives one ``encoders.forward`` span per step, on whichever thread ran
+    it. With a second CPU some of those spans come from a helper thread."""
+    samples, batch = 300, 128
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", BRANCH_CHILD, str(ROOT / "perfbench"),
+         json.dumps([samples, batch])],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    run = json.loads(done.stdout.splitlines()[-1])
+
+    dataset = synth_generate(SynthSpec("complementary", samples=samples), seed=5)
+    fit = len(validation_split(dataset, 0.1, 0)[0])
+    steps = fit // batch + (1 if fit % batch >= 2 else 0)
+    assert run["summary"]["training.steps"] == steps
+    views = run["views"]
+    assert len(views) == 2
+    assert sorted(run["train_calls"]) == sorted(views * steps)
+    assert run["step_spans"] == len(views) * steps
+    if run["cpus"] > 1:
+        assert run["helper_spans"] > 0

@@ -448,6 +448,21 @@ def test_sigmoid_matches_two_branch_formula_bit_for_bit():
     assert np.array_equal(got.view(np.int64), _masked_sigmoid(x).view(np.int64))
 
 
+def test_sigmoid_matches_the_two_exp_form_byte_for_byte():
+    """One exp gives the bytes of the two-exp form on 200k random values,
+    on signed zeros, infinities and NaNs, past exp's overflow and underflow,
+    on subnormals, and on a strided view."""
+    rng = np.random.default_rng(21)
+    x = np.concatenate([rng.standard_normal(100_000) * 10.0,
+                        rng.standard_normal(100_000) * 300.0,
+                        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.0,
+                         -710.0, 750.0, -750.0, 5e-324, -5e-324]])
+    assert T._sigmoid(x).tobytes() == R.sigmoid_two_exp(x).tobytes()
+    block = rng.standard_normal((128, 256)) * 5.0
+    view = block[:, 64:]
+    assert T._sigmoid(view).tobytes() == R.sigmoid_two_exp(view).tobytes()
+
+
 class TestUntapedFastPath:
     """With no active tape an op builds no record and returns a plain
     float64 ndarray, whatever its inputs' ``requires_grad``."""
@@ -747,12 +762,27 @@ class TestAttentionPool:
                 T.attention_pool(*args)
 
 
+def _flat(records):
+    """A tape's records with each fork record replaced by the records of its
+    sub-tapes, in call order: the tape of the same forward run serially."""
+    out = []
+    for rec in records:
+        if isinstance(rec, T._Fork):
+            assert rec.routes == () and rec.shapes == () and rec.grad is None
+            for tape in rec.tapes:
+                out += _flat(tape.records)
+        else:
+            out.append(rec)
+    return out
+
+
 def _keeping_backward(loss, tape):
-    """A sweep that releases nothing: it keeps every record's output
-    gradient, every route and every record. The reference for
-    ``backward``'s leaf gradients."""
+    """A serial sweep that releases nothing: it keeps every record's output
+    gradient, every route and every record, and sweeps the records of a
+    fork's sub-tapes where a serial forward would have taped them. The
+    reference for ``backward``'s leaf gradients."""
     loss.producer.grad = np.ones_like(loss.data)
-    for rec in reversed(tape.records):
+    for rec in reversed(_flat(tape.records)):
         g = rec.grad
         if g is None:
             continue
@@ -841,7 +871,7 @@ def _taped_step(module, loss_of, sweep):
         p.grad = None
     with T.Tape() as tape:
         loss = loss_of(module, np.random.default_rng(11))
-    records = list(tape.records)
+    records = _flat(tape.records)
     sweep(loss, tape)
     return {name: p.grad for name, p in params.items()}, records
 
@@ -870,7 +900,7 @@ def _encoder_step(arch):
     weights = T.Tensor(data.standard_normal((5, encoder(x).shape[1])))
 
     def loss_of(module, rng):
-        return T.reduce_sum(T.mul(module(x, rng), weights))
+        return T.reduce_sum(T.mul(module.drop(module(x), rng), weights))
 
     return encoder, loss_of
 
@@ -921,7 +951,7 @@ def _routed_sweep(loss, tape):
     record's gradient slot was dropped and to return one gradient per
     route, shaped as its input."""
     assert tape.records
-    for rec in tape.records:
+    for rec in _flat(tape.records):
         assert len(rec.routes) == len(rec.shapes)
         assert all(_is_route(route) for route in rec.routes)
 
@@ -980,7 +1010,7 @@ def test_tape_holds_no_intermediate_tensor(step):
     module.set_mode("train")
     with T.Tape() as tape:
         loss = loss_of(module, np.random.default_rng(11))
-    reached = _reachable_tensors(tape.records)
+    reached = _reachable_tensors(_flat(tape.records))
     leaves = {id(p) for p in module.named_parameters().values()}
     stray = [t.shape for t in reached if id(t) not in leaves]
     assert reached and not stray, stray

@@ -15,6 +15,10 @@ fixed matrix with that tree's ``mvcrop``:
 - protocols: ``run_grid`` at jobs 1 and at jobs 2, ``run_search`` and TAE
   ``single_view_baselines``, one repetition each;
 - seven ``run_cell`` configs (``CELLS``), two repetitions each;
+- ``PAPER_CELLS``: two-view cells at the default (paper) encoder widths on
+  700 synthetic ``complementary`` samples with batch 128, 2 epochs and two
+  repetitions, so that the fit part ends in a batch of 57 rows and the
+  per-view encoders are large enough to run on helper threads;
 - ``early-stop``: an LSTM Feature cell, two repetitions, trained up to 12
   epochs at learning rate 5e-2 with patience 2, so that early stopping
   fires and the validation loss decides which epoch's parameters are kept;
@@ -78,6 +82,9 @@ CELLS = {
     "lstm-hybrid-multiloss": (ALL_VIEWS, "LSTM", "Hybrid", "multiloss", None),
 }
 SMOKE_CELLS = ("gru-input-average", "ltae-feature-multiloss-gated")
+# name -> (encoder, strategy), at paper widths
+PAPER_CELLS = {"paper-gru-feature": ("GRU", "Feature"),
+               "paper-tae-hybrid": ("TAE", "Hybrid")}
 _BLANKED = re.compile(rb'("(?:created|output_dir)": )"[^"]*"')
 _METADATA_COLUMNS = ("country", "continent", "year", "latitude", "longitude",
                      "is_test")
@@ -181,6 +188,16 @@ def run_matrix(smoke: bool) -> None:
     steps = [(name, lambda runner=runner, name=name, fields=fields: runner(
         dataset, replace(config, output_dir=name, **fields)))
         for name, runner, fields in runs]
+    if not smoke:
+        paper = synth_generate(SynthSpec(kind="complementary", samples=700),
+                               seed=5)
+        steps += [(name, lambda name=name, encoder=encoder, strategy=strategy:
+                   run_cell(paper, replace(
+                       config, views=("optical", "radar"), encoder=encoder,
+                       strategy=strategy, encoder_options={},
+                       train=TrainConfig(batch_size=128, max_epochs=2,
+                                         patience=2), output_dir=name)))
+                  for name, (encoder, strategy) in PAPER_CELLS.items()]
     steps += [("import", lambda: import_run(dataset)),
               ("report", lambda: report_run(SMOKE_CELLS[0] if smoke else "grid"))]
     for name, step in steps:
