@@ -37,6 +37,7 @@ from .fusion import (
 from .metrics import evaluate
 from .rngutil import rep_seed
 from .rundir import write_records_csv  # perfbench wraps this binding
+from .tensor import branches
 from .training import (  # load_checkpoint: public re-export
     TrainConfig,
     load_checkpoint as load_checkpoint,
@@ -322,8 +323,17 @@ def _build_cell_model(cell: CellSpec, config: ExperimentConfig,
 
 
 def _predict_all(model, dataset: Dataset, batch_size: int) -> np.ndarray:
-    parts = [model.predict(dataset.batch(slice(start, start + batch_size)))
-             for start in range(0, len(dataset), batch_size)]
+    """Test-split probabilities in sample order. The batches run as
+    concurrent branches (``tensor.branches``): a prediction reads the model
+    and changes nothing, so where a batch runs changes no bit. The model
+    switches to infer mode once, before any batch runs."""
+    if model.mode != "infer":
+        model.set_mode("infer")
+    parts = branches([
+        lambda start=start: model.predict(
+            dataset.batch(slice(start, start + batch_size)))
+        for start in range(0, len(dataset), batch_size)],
+        model.spreads(batch_size))
     return np.concatenate(parts, axis=0)
 
 

@@ -229,11 +229,27 @@ def _encoder_for(view: ViewSchema, config: EncoderConfig) -> Encoder:
     return build_encoder(view, replace(config, architecture="MLP"))
 
 
+# Rows times encoder width (``hidden``) from which a model's work may go to
+# a helper thread: each view's encoder within a batch, or whole batches of
+# an untaped loop. Below it, handing work to another thread can cost more
+# than it saves. Measured on two CPUs, the GRU, whose gain comes last,
+# breaks even between 2048 and 8192 at widths 4 to 64 (BENCH_21.json), and
+# the GRU and LSTM batches of a prediction loop between 4096 and 8192
+# (BENCH_23.json).
+SPREAD_WORK = 6144
+
+
 class MVLModel(Module):
     """Base for all strategy models: forward to FusionOutputs, plain predict."""
 
     strategy = ""
     multiloss_gamma: float = 0.0
+    width: int  # the encoders' width (``hidden``), set by every strategy
+
+    def spreads(self, rows: int) -> bool:
+        """Whether ``rows`` rows through the encoders are work enough for a
+        helper thread (``SPREAD_WORK``)."""
+        return rows * self.width >= SPREAD_WORK
 
     def forward(self, batch: dict, rng=None) -> FusionOutputs:
         raise NotImplementedError
@@ -269,6 +285,7 @@ class InputFusion(MVLModel):
                            temporal=bool(steps), channels=channels,
                            steps=max(steps, default=None))
         self.encoder = _encoder_for(fused, config)
+        self.width = config.hidden
         self.head = PredictionHead(config.embedding_dim, classes,
                                    dropout=config.dropout)
 
@@ -276,14 +293,6 @@ class InputFusion(MVLModel):
         merged = align_and_merge_input(batch, self.views, self.merge_kind)
         z = self.encoder.drop(self.encoder(merged), rng)
         return FusionOutputs(probabilities=self.head(z, rng))
-
-
-# Rows times encoder width (``hidden``) from which the per-view encoders of
-# one batch may run on helper threads. Below it, handing a view to another
-# thread can cost more than it saves: measured on two CPUs, the GRU, whose
-# gain comes last, breaks even between 2048 and 8192 at widths 4 to 64
-# (BENCH_21.json).
-SPREAD_WORK = 6144
 
 
 class _PerViewFusion(MVLModel):
@@ -311,9 +320,9 @@ class _PerViewFusion(MVLModel):
     def _encode(self, batch: dict) -> list[Tensor]:
         """Every view's embedding before dropout, in view order."""
         xs = [_take(batch, v.name) for v in self.views]
-        spread = xs[0].shape[0] * self.width >= SPREAD_WORK
         return branches([partial(self.encoders[v.name], x)
-                         for v, x in zip(self.views, xs)], spread)
+                         for v, x in zip(self.views, xs)],
+                        self.spreads(xs[0].shape[0]))
 
     def _embed(self, batch: dict, rng) -> list[Tensor]:
         """Every view's embedding after its dropout, in view order."""
@@ -424,6 +433,7 @@ class EnsembleModel(MVLModel):
             raise ConfigError(f"incomplete ensemble, mismatched members: {missing}")
         self.views = list(views)
         self.members = dict(members)
+        self.width = self.members[self.views[0].name].width
 
     def forward(self, batch: dict, rng=None) -> FusionOutputs:
         outs = [self.members[v.name].forward(batch, rng).probabilities

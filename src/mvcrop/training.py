@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -16,7 +17,8 @@ from .data import Dataset
 from .errors import ConfigError, FormatError, NumericError, ShapeError, check_fields
 from .fusion import EnsembleModel, multi_loss
 from .rngutil import member_seed, named_stream
-from .tensor import Parameter, Tape, Tensor, backward, weighted_nll, weighted_nll_sum
+from .tensor import (Parameter, Tape, Tensor, backward, branches, weighted_nll,
+                     weighted_nll_sum)
 
 __all__ = [
     "Adam",
@@ -225,16 +227,22 @@ class TrainResult:
 
 
 def _dataset_loss(model, dataset: Dataset, weights, batch_size: int) -> float:
-    """Exact mean weighted negative log-likelihood over ``dataset`` (inference mode)."""
-    model.set_mode("infer")
+    """Exact mean weighted negative log-likelihood over ``dataset`` (inference
+    mode). The batches run as concurrent branches (``tensor.branches``), and
+    their sums are added in batch order."""
+    if model.mode != "infer":
+        model.set_mode("infer")
     n = len(dataset)
     w = np.ones(dataset.classes) if weights is None else weights
-    total = 0.0
-    for start in range(0, n, batch_size):
+
+    def batch_sum(start: int) -> float:
         idx = np.arange(start, min(start + batch_size, n))
         probs = model.forward(dataset.batch(idx)).probabilities.data
-        total += float(weighted_nll_sum(probs, dataset.labels[idx], w))
-    return total / n
+        return float(weighted_nll_sum(probs, dataset.labels[idx], w))
+
+    return sum(branches([partial(batch_sum, start)
+                         for start in range(0, n, batch_size)],
+                        model.spreads(batch_size))) / n
 
 
 def train(model, dataset: Dataset, config: TrainConfig) -> TrainResult:

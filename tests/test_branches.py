@@ -1,10 +1,11 @@
 """Concurrent branches (``tensor.branches``) and the CPU budget they share
 with the ``--jobs`` pool (``mvcrop.cpus``).
 
-A model with one encoder per view runs its encoders as branches. Where a
-branch runs, on a helper thread or inline on its caller, must not change a
-single bit of a forward, a backward or a prediction; and a branch goes to a
-helper only when a CPU is idle."""
+A model with one encoder per view runs its encoders as branches, and the
+untaped batch loops (test scoring, validation loss) run their batches as
+branches. Where a branch runs, on a helper thread or inline on its caller,
+must not change a single bit of a forward, a backward, a prediction or a
+loss; and a branch goes to a helper only when a CPU is idle."""
 from __future__ import annotations
 
 import sys
@@ -15,14 +16,15 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from mvcrop import cpus, fusion
+from mvcrop import cpus, encoders, experiments, fusion
 from mvcrop import tensor as T
 from mvcrop.data import SynthSpec, synth_generate
 from mvcrop.encoders import EncoderConfig
 from mvcrop.errors import NumericError
-from mvcrop.experiments import ExperimentConfig, run_cell
+from mvcrop.experiments import ExperimentConfig, _predict_all, run_cell
 from mvcrop.fusion import build_model, multi_loss
-from mvcrop.training import TrainConfig, weighted_cross_entropy
+from mvcrop.rngutil import rep_seed
+from mvcrop.training import TrainConfig, _dataset_loss, weighted_cross_entropy
 from mvcrop.views import canonical_schema
 
 _VIEWS = [canonical_schema("optical"), canonical_schema("radar")]
@@ -302,4 +304,204 @@ def test_jobs_pool_shares_the_budget(tmp_path, monkeypatch):
     assert [got for workers, got in checks if workers == 2] != []
     assert not any(got for workers, got in checks if workers == 2)
     assert any(got for workers, got in checks if workers < 2)
+    assert cpus.BUDGET.idle == 1
+
+
+# Batch loops: every encoder under every strategy, and L-TAE with each
+# component, at paper widths over 701 samples in batches of 128, the last
+# of 61 rows.
+_LOOP_CASES = ([(arch, strategy, None)
+                for arch in ("GRU", "LSTM", "TempCNN", "TAE", "LTAE")
+                for strategy in fusion.STRATEGIES]
+               + [("LTAE", strategy, component)
+                  for component in ("gfusion", "multiloss")
+                  for strategy in fusion.COMPONENT_STRATEGIES])
+_LOOP_BATCH = 128
+
+
+@pytest.fixture(scope="module")
+def loop_data():
+    return synth_generate(SynthSpec("complementary", samples=701), seed=23)
+
+
+def _loop_model(dataset, arch="TempCNN", strategy="Input", component=None):
+    model = build_model(list(dataset.schemas), strategy, EncoderConfig(arch),
+                        classes=dataset.classes, component=component)
+    model.initialize(8)
+    return model
+
+
+def _loop_outputs(model, dataset):
+    """Test-scoring probabilities, as bytes, and the validation loss, as
+    ``repr``."""
+    weights = np.linspace(0.5, 2.0, dataset.classes)
+    return (_predict_all(model, dataset, _LOOP_BATCH).tobytes(),
+            repr(_dataset_loss(model, dataset, weights, _LOOP_BATCH)))
+
+
+@pytest.mark.parametrize("arch, strategy, component", _LOOP_CASES,
+                         ids=["-".join(filter(None, case))
+                              for case in _LOOP_CASES])
+def test_batch_loops_give_the_bytes_of_inline_runs(arch, strategy, component,
+                                                   loop_data, handoffs,
+                                                   monkeypatch):
+    """Scoring and the validation loss with batches on helper threads give
+    the bytes of the same loops with every branch forced inline."""
+    model = _loop_model(loop_data, arch, strategy, component)
+    model.set_mode("train")  # the loops switch it to infer mode
+    concurrent = _loop_outputs(model, loop_data)
+    assert any(handoffs), "no batch went to a helper"
+    monkeypatch.setattr(cpus.BUDGET, "take", lambda: False)
+    model.set_mode("train")
+    assert concurrent == _loop_outputs(model, loop_data)
+
+
+def test_a_one_batch_loop_hands_nothing_off(loop_data, handoffs):
+    """A single-encoder model over one batch asks for no helper."""
+    small = loop_data.subset(np.arange(_LOOP_BATCH))
+    _loop_outputs(_loop_model(loop_data), small)
+    assert handoffs == []
+
+
+def _threads_of_predict(model, dataset, monkeypatch, fail_at=None):
+    """Wrap ``model.predict`` over ``dataset``: returns ``{batch start row:
+    thread name}`` of the batches that finished. Each batch sleeps first,
+    so that a helper gets some; the batch that starts at row ``fail_at``
+    then raises."""
+    done = {}
+    predict = model.predict
+    rows = dataset.arrays["optical"]
+
+    def traced(batch):
+        start = int(np.flatnonzero(np.all(batch["optical"][0] == rows,
+                                          axis=(1, 2)))[0])
+        time.sleep(0.02)
+        if start == fail_at:
+            raise NumericError("batch failed")
+        out = predict(batch)
+        done[start] = threading.current_thread().name
+        return out
+
+    monkeypatch.setattr(model, "predict", traced)
+    return done
+
+
+def test_a_failing_batch_re_raises_once_the_helper_has_drained(
+        loop_data, handoffs, monkeypatch):
+    """The third of six scoring batches raises: every other batch still
+    finishes, some on a helper, before the error reaches the caller, and
+    the budget ends where it started."""
+    dataset = loop_data.subset(np.arange(6 * 100))
+    model = _loop_model(loop_data)
+    model.set_mode("infer")
+    done = _threads_of_predict(model, dataset, monkeypatch, fail_at=200)
+    idle = cpus.BUDGET.idle
+    with pytest.raises(NumericError, match="batch failed"):
+        _predict_all(model, dataset, 100)
+    assert sorted(done) == [0, 100, 300, 400, 500]
+    assert any(name.startswith("mvcrop-branch") for name in done.values())
+    assert cpus.BUDGET.idle == idle
+
+
+def test_a_failing_scoring_batch_is_an_error_row(tmp_path, handoffs,
+                                                 monkeypatch):
+    """Through ``_run_one`` the failed scoring of one repetition becomes
+    its ``error`` row; the repetitions around it still finish."""
+    dataset = synth_generate(SynthSpec("complementary", samples=240), seed=2)
+    config = ExperimentConfig(
+        encoder="GRU", strategy="Input", repetitions=3, seed_base=3,
+        output_dir=str(tmp_path / "run"),
+        encoder_options={"hidden": 4, "layers": 1, "embedding_dim": 4,
+                         "dense": 8},
+        train=TrainConfig(batch_size=16, max_epochs=1, patience=1))
+    fit, predict = experiments._fit, fusion.MVLModel.predict
+    seeds, scored, lock = [], [], threading.Lock()
+
+    def fit_seed(cell, model, dataset, train_config):
+        seeds.append(train_config.seed)
+        scored.clear()
+        return fit(cell, model, dataset, train_config)
+
+    def failing(self, batch):  # the third batch of repetition 1 raises
+        with lock:
+            scored.append(None)
+            third = len(scored) == 3
+        if third and seeds[-1] == rep_seed(3, 1):
+            raise NumericError("batch failed")
+        return predict(self, batch)
+
+    monkeypatch.setattr(experiments, "_fit", fit_seed)
+    monkeypatch.setattr(fusion.MVLModel, "predict", failing)
+    idle = cpus.BUDGET.idle
+    outcome = run_cell(dataset, config)
+    assert any(handoffs), "no batch went to a helper"
+    assert [row["status"] for row in outcome.records] == ["ok", "error", "ok"]
+    assert "batch failed" in outcome.records[1]["error"]
+    assert cpus.BUDGET.idle == idle
+
+
+def test_batch_loops_share_the_budget(loop_data, monkeypatch):
+    """On a two-CPU budget: while two ``--jobs`` workers run, no scoring
+    batch goes to a helper. With one caller, a batch does; inside a batch
+    on a helper the per-view branches run inline (no take from a helper
+    thread succeeds, and both views' encoders run on the batch's thread),
+    and at most ``cpus - 1`` successful takes are out at once."""
+    monkeypatch.setattr(cpus.BUDGET, "idle", 1)  # two CPUs, the caller on one
+    take, add = cpus.BUDGET.take, cpus.BUDGET._add
+    lock, out, takes = threading.Lock(), [0], []
+
+    def counted_take():
+        got = take()
+        with lock:
+            out[0] += got
+            takes.append((threading.current_thread().name, got, out[0]))
+        return got
+
+    def counted_add(count):
+        if threading.current_thread().name.startswith("mvcrop-branch"):
+            with lock:  # a helper gives its CPU back
+                out[0] -= count
+        add(count)
+
+    monkeypatch.setattr(cpus.BUDGET, "take", counted_take)
+    monkeypatch.setattr(cpus.BUDGET, "_add", counted_add)
+    model = _loop_model(loop_data, "TAE", "Feature")
+    model.set_mode("infer")
+    local, views = threading.local(), []
+    call = encoders.Encoder.__call__
+
+    def encoder_call(self, *args):
+        views.append(getattr(local, "start", None))
+        return call(self, *args)
+
+    monkeypatch.setattr(encoders.Encoder, "__call__", encoder_call)
+    done = _threads_of_predict(model, loop_data, monkeypatch)  # six batches
+    predict = model.predict
+
+    def in_batch(batch):  # the encoders of one batch see its start row
+        local.start = batch["optical"][0].tobytes()
+        try:
+            return predict(batch)
+        finally:
+            local.start = None
+
+    monkeypatch.setattr(model, "predict", in_batch)
+    with cpus.BUDGET.lent(), cpus.BUDGET.held(), cpus.BUDGET.held():
+        _predict_all(model, loop_data, _LOOP_BATCH)
+    assert takes and not any(got for _, got, _ in takes)
+    assert set(done.values()) == {threading.current_thread().name}
+
+    takes.clear()
+    done.clear()
+    views.clear()
+    _predict_all(model, loop_data, _LOOP_BATCH)
+    helped = [start for start, name in done.items()
+              if name.startswith("mvcrop-branch")]
+    assert helped, "no batch went to a helper"
+    assert not any(got for name, got, _ in takes
+                   if name.startswith("mvcrop-branch"))
+    assert max(held for _, _, held in takes) <= 1
+    for start in helped:
+        row = loop_data.arrays["optical"][start].tobytes()
+        assert views.count(row) == len(model.views)
     assert cpus.BUDGET.idle == 1

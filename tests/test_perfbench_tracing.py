@@ -172,3 +172,55 @@ def test_tracer_sees_each_view_encoder_once_per_step():
     assert run["step_spans"] == len(views) * steps
     if run["cpus"] > 1:
         assert run["helper_spans"] > 0
+
+
+SCORING_CHILD = textwrap.dedent("""
+    import json, os, sys, threading
+    sys.path.insert(0, sys.argv[1])
+    import tracing
+    from mvcrop.data import SynthSpec, synth_generate
+    from mvcrop.experiments import ExperimentConfig, run_cell
+    from mvcrop.training import TrainConfig
+
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    samples, batch, test, seed = json.loads(sys.argv[3])
+    dataset = synth_generate(SynthSpec("complementary", samples=samples), seed=5)
+    run_cell(dataset, ExperimentConfig(
+        encoder="LTAE", strategy="Input", repetitions=1, seed_base=seed,
+        test_fraction=test, output_dir=sys.argv[2],
+        train=TrainConfig(batch_size=batch, max_epochs=1, patience=1)))
+    main = threading.main_thread().ident
+    predicts = [span for span in tracer.spans if span.name == "fusion.predict"]
+    print(json.dumps({
+        "phases": [span.phase for span in predicts],
+        "helper_spans": sum(span.thread != main for span in predicts),
+        "cpus": os.cpu_count(),
+    }))
+""")
+
+
+def test_tracer_sees_each_scoring_batch_once(tmp_path):
+    """A paper-width single-encoder cell scores its test split in batches
+    that run as branches: the tracer gives one ``fusion.predict`` span per
+    test batch, each in the ``predict`` phase, on whichever thread ran it,
+    so ``encoders.infer_ms_per_batch`` keeps its denominator. With a second
+    CPU some of those spans come from a helper thread."""
+    samples, batch, test, seed = 2000, 128, 0.3, 3
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", SCORING_CHILD, str(ROOT / "perfbench"),
+         str(tmp_path / "run"), json.dumps([samples, batch, test, seed])],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    run = json.loads(done.stdout.splitlines()[-1])
+
+    dataset = synth_generate(SynthSpec("complementary", samples=samples), seed=5)
+    scored = len(stratified_split(dataset, test, seed)[1])
+    batches = -(-scored // batch)
+    assert batches > 1
+    assert run["phases"] == ["predict"] * batches
+    if run["cpus"] > 1:
+        assert run["helper_spans"] > 0

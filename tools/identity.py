@@ -18,7 +18,8 @@ fixed matrix with that tree's ``mvcrop``:
 - ``PAPER_CELLS``: two-view cells at the default (paper) encoder widths on
   700 synthetic ``complementary`` samples with batch 128, 2 epochs and two
   repetitions, so that the fit part ends in a batch of 57 rows and the
-  per-view encoders are large enough to run on helper threads;
+  per-view encoders, and the validation and test batches, are large enough
+  to run on helper threads; one cell (Input) has a single encoder;
 - ``early-stop``: an LSTM Feature cell, two repetitions, trained up to 12
   epochs at learning rate 5e-2 with patience 2, so that early stopping
   fires and the validation loss decides which epoch's parameters are kept;
@@ -84,7 +85,8 @@ CELLS = {
 SMOKE_CELLS = ("gru-input-average", "ltae-feature-multiloss-gated")
 # name -> (encoder, strategy), at paper widths
 PAPER_CELLS = {"paper-gru-feature": ("GRU", "Feature"),
-               "paper-tae-hybrid": ("TAE", "Hybrid")}
+               "paper-tae-hybrid": ("TAE", "Hybrid"),
+               "paper-tempcnn-input": ("TempCNN", "Input")}
 _BLANKED = re.compile(rb'("(?:created|output_dir)": )"[^"]*"')
 _METADATA_COLUMNS = ("country", "continent", "year", "latitude", "longitude",
                      "is_test")
