@@ -1,5 +1,5 @@
-"""Multi-view dataset container, file interchange, derived views, temporal
-resampling, spectral-entropy diagnostics, and a synthetic data generator.
+"""Multi-view dataset container, file interchange, derived views,
+spectral-entropy diagnostics, and a synthetic data generator.
 
 Storage convention: view arrays are held (and serialized) as 32-bit floats;
 all downstream computation promotes to 64-bit.
@@ -27,7 +27,6 @@ __all__ = [
     "entropy_report",
     "import_csv",
     "load_dataset",
-    "resample_monthly",
     "save_dataset",
     "spectral_entropy",
     "stratified_split",
@@ -204,49 +203,6 @@ def with_ndvi(dataset: Dataset) -> Dataset:
         schemas=dataset.schemas + (schema,),
         arrays={**dataset.arrays, "ndvi": ndvi},
     )
-
-
-# ---------------------------------------------------------------------------
-# monthly resampling
-# ---------------------------------------------------------------------------
-
-# cumulative last day-of-year per month (non-leap); day 366 folds into December
-_MONTH_END_DAY = np.array([31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334, 365])
-
-
-def resample_monthly(series, days) -> np.ndarray:
-    """Aggregate an irregular ``[T, D]`` series to ``[12, D]`` monthly means.
-
-    Empty months are filled by linear interpolation between the nearest
-    observed months; leading/trailing empty months copy the nearest value.
-    """
-    arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"series must be [T, D], got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ShapeError("empty series: no observations to resample")
-    day = np.asarray(days, dtype=np.float64)
-    if day.shape != (arr.shape[0],):
-        raise ShapeError(
-            f"days must have shape ({arr.shape[0]},), got {day.shape}"
-        )
-    if np.any(day < 1) or np.any(day > 366):
-        raise ConfigError("day-of-year values must lie in [1, 366]")
-    month = np.minimum(np.searchsorted(_MONTH_END_DAY, day, side="left"), 11)
-
-    known_months = []
-    known_means = []
-    for m in range(12):
-        mask = month == m
-        if np.any(mask):
-            known_months.append(m)
-            known_means.append(arr[mask].mean(axis=0))
-    means = np.asarray(known_means)
-    out = np.empty((12, arr.shape[1]), dtype=np.float64)
-    grid = np.arange(12, dtype=np.float64)
-    for d in range(arr.shape[1]):
-        out[:, d] = np.interp(grid, np.asarray(known_months, dtype=np.float64), means[:, d])
-    return out
 
 
 # ---------------------------------------------------------------------------

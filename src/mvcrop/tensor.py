@@ -523,6 +523,25 @@ def lstm_sequence(x, w_in, w_hid, b_in, b_hid) -> Tensor:
 # attention pooling
 # ---------------------------------------------------------------------------
 
+class _Scratch(threading.local):
+    def __init__(self) -> None:
+        self.buf = np.empty(0)
+
+
+_SCRATCH = _Scratch()
+
+
+def _scratch_mul(a: Array, b: Array, full: Array) -> Array:
+    """``a * b``, whose broadcast shape is ``full``'s, written C-ordered into
+    this thread's scratch buffer, which grows to the largest product seen.
+    The result is valid only until the next call on this thread, so the
+    caller reduces it at once and never returns it."""
+    size = full.size
+    if _SCRATCH.buf.size < size:
+        _SCRATCH.buf = np.empty(size)
+    return np.multiply(a, b, out=_SCRATCH.buf[:size].reshape(full.shape))
+
+
 def attention_pool(query, keys, values, key_dim: int) -> tuple[Tensor, Tensor]:
     """Scaled dot-product pooling over the time axis as one record.
 
@@ -536,6 +555,15 @@ def attention_pool(query, keys, values, key_dim: int) -> tuple[Tensor, Tensor]:
     scale, softmax, mul, reduce_sum) on the same operand layouts, so outputs
     and gradients are bit-identical to that graph's. A loop over time would
     not be: numpy may sum the time axis pairwise.
+
+    The four broadcast products that are reduced at once (``k * q`` and
+    ``w * v`` forward, ``g * v`` and ``d * k`` backward) are written into
+    one buffer per thread, grown to the largest product seen, instead of
+    freshly mapped memory that the kernel must fault in on every call. No
+    output or gradient is a view of that buffer. The buffer holds them
+    C-ordered, the layout of a fresh product of C-contiguous keys and
+    values, which is what the encoders pass: a product of another layout
+    could be reduced in another order.
     """
     query, keys, values = as_tensor(query), as_tensor(keys), as_tensor(values)
     q, k, v = query.data, keys.data, values.data
@@ -549,13 +577,17 @@ def attention_pool(query, keys, values, key_dim: int) -> tuple[Tensor, Tensor]:
         raise ShapeError(f"attention values must be [{batch}, {steps}, {heads}, W], "
                          f"got {v.shape}")
     scale = 1.0 / np.sqrt(key_dim)
-    w = _softmax(np.add.reduce(k * q, axis=3) * scale, 1)
-    pooled = _make(np.add.reduce(w[..., None] * v, axis=1))
+    w = _softmax(np.add.reduce(_scratch_mul(k, q, k), axis=3) * scale, 1)
+    pooled = _make(np.add.reduce(_scratch_mul(w[..., None], v, v), axis=1))
     if _recording(query, keys, values):
         def backward(g: Array):
             g = g[:, None]
-            d = (_softmax_grad(np.add.reduce(g * v, axis=3), w, 1) * scale)[..., None]
-            return (_unbroadcast(d * k, q.shape), d * q, g * w[..., None])
+            d = (_softmax_grad(np.add.reduce(_scratch_mul(g, v, v), axis=3), w, 1)
+                 * scale)[..., None]
+            dq = _unbroadcast(_scratch_mul(d, k, k), q.shape)
+            if q.shape == k.shape:  # nothing was summed: dq is the scratch
+                dq = dq.copy()
+            return (dq, d * q, g * w[..., None])
 
         _record((query, keys, values), pooled, backward)
     return pooled, _make(w)

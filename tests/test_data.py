@@ -21,7 +21,6 @@ from mvcrop.data import (
     entropy_report,
     import_csv,
     load_dataset,
-    resample_monthly,
     save_dataset,
     spectral_entropy,
     stratified_split,
@@ -30,6 +29,7 @@ from mvcrop.data import (
 )
 from mvcrop.errors import ConfigError, FormatError, ShapeError
 from mvcrop.views import ViewSchema, canonical_schema
+from reference import resample_monthly
 
 
 # ---------------------------------------------------------------------------

@@ -702,6 +702,27 @@ def _attention_loss(case, name, t):
     return T.reduce_sum(T.mul(pooled, T.Tensor(case["w_out"])))
 
 
+def _attention_run(op, case):
+    """``pooled``, ``weights`` and the three input gradients of one taped
+    call of ``op`` and its backward sweep."""
+    leaves = {k: T.Tensor(case[k], requires_grad=True) for k in _ATTENTION_INPUTS}
+    with T.Tape() as tape:
+        pooled, weights = op(*(leaves[k] for k in _ATTENTION_INPUTS),
+                             case["keys"].shape[3])
+        loss = T.reduce_sum(T.mul(pooled, T.Tensor(case["w_out"])))
+    T.backward(loss, tape)
+    return [pooled.data, weights.data] + [leaves[k].grad for k in _ATTENTION_INPUTS]
+
+
+def _assert_attention_matches_graph(case):
+    runs = [_attention_run(op, case) for op in (T.attention_pool, _attention_graph)]
+    shape = case["values"].shape
+    for got, want in zip(*runs):
+        assert got is not None and got.shape == want.shape, shape
+        assert np.array_equal(got, want), shape
+        assert np.array_equal(np.signbit(got), np.signbit(want)), shape
+
+
 class TestAttentionPool:
     """The fused attention pooling against the elementary graph bit for bit
     (sign of zero included) and against finite differences."""
@@ -713,20 +734,49 @@ class TestAttentionPool:
                   for h in (1, 4) for kd in (1, 4) for w in (1, 16)]
         shapes.append((128, 24, 4, 32, 64))
         for shape in shapes:
-            case = _attention_case(rng, *shape, shared_query)
-            runs = []
-            for op in (T.attention_pool, _attention_graph):
-                leaves = {k: T.Tensor(case[k], requires_grad=True) for k in _ATTENTION_INPUTS}
-                with T.Tape() as tape:
-                    pooled, weights = op(*(leaves[k] for k in _ATTENTION_INPUTS), shape[3])
-                    loss = T.reduce_sum(T.mul(pooled, T.Tensor(case["w_out"])))
-                T.backward(loss, tape)
-                runs.append([pooled.data, weights.data]
-                            + [leaves[k].grad for k in _ATTENTION_INPUTS])
-            for got, want in zip(*runs):
-                assert got is not None and got.shape == want.shape, shape
-                assert np.array_equal(got, want), shape
-                assert np.array_equal(np.signbit(got), np.signbit(want)), shape
+            _assert_attention_matches_graph(_attention_case(rng, *shape, shared_query))
+
+    @pytest.mark.parametrize("shared_query", [False, True], ids=["per-sample", "shared"])
+    def test_smaller_calls_after_a_large_one_match_graph(self, shared_query):
+        """Products written into a buffer grown by a larger call keep the
+        graph's bits, signed zeros included."""
+        rng = np.random.default_rng(29)
+        for batch in (128, 57, 1):
+            case = _attention_case(rng, batch, 24, 4, 32, 64, shared_query)
+            case["values"][:, ::5, :, ::3] = -0.0
+            case["keys"][:, ::7] = 0.0
+            case["w_out"][:, :, ::4] = -0.0
+            _assert_attention_matches_graph(case)
+
+    @pytest.mark.parametrize("steps", [1, 12])
+    @pytest.mark.parametrize("shared_query", [False, True], ids=["per-sample", "shared"])
+    def test_results_share_no_memory_with_the_scratch_buffer(self, steps, shared_query):
+        rng = np.random.default_rng(31)
+        results = _attention_run(T.attention_pool,
+                                 _attention_case(rng, 3, steps, 2, 4, 5, shared_query))
+        kept = [a.copy() for a in results]
+        for a in results:
+            assert not np.shares_memory(a, T._SCRATCH.buf)
+        _attention_run(T.attention_pool,
+                       _attention_case(rng, 3, steps, 2, 4, 5, shared_query))
+        for a, want in zip(results, kept):
+            _assert_bit_identical(a, want)
+
+    def test_repeated_call_allocates_no_product(self):
+        """A second untaped call at the same shape reuses the buffer: its
+        traced peak stays below one ``[B, T, H, W]`` product."""
+        case = _attention_case(np.random.default_rng(37), 128, 24, 4, 32, 64,
+                               shared_query=False)
+        args = [T.Tensor(case[k]) for k in _ATTENTION_INPUTS]
+        T.attention_pool(*args, key_dim=32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            T.attention_pool(*args, key_dim=32)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < case["values"].nbytes, peak
 
     @pytest.mark.parametrize("shared_query", [False, True], ids=["per-sample", "shared"])
     @pytest.mark.parametrize("seed", range(3))

@@ -19,7 +19,8 @@ fixed matrix with that tree's ``mvcrop``:
   700 synthetic ``complementary`` samples with batch 128, 2 epochs and two
   repetitions, so that the fit part ends in a batch of 57 rows and the
   per-view encoders, and the validation and test batches, are large enough
-  to run on helper threads; one cell (Input) has a single encoder;
+  to run on helper threads; one cell (Input) has a single encoder, and the
+  TAE and L-TAE cells pool with a per-sample and a shared query;
 - ``early-stop``: an LSTM Feature cell, two repetitions, trained up to 12
   epochs at learning rate 5e-2 with patience 2, so that early stopping
   fires and the validation loss decides which epoch's parameters are kept;
@@ -86,7 +87,8 @@ SMOKE_CELLS = ("gru-input-average", "ltae-feature-multiloss-gated")
 # name -> (encoder, strategy), at paper widths
 PAPER_CELLS = {"paper-gru-feature": ("GRU", "Feature"),
                "paper-tae-hybrid": ("TAE", "Hybrid"),
-               "paper-tempcnn-input": ("TempCNN", "Input")}
+               "paper-tempcnn-input": ("TempCNN", "Input"),
+               "paper-ltae-decision": ("LTAE", "Decision")}
 _BLANKED = re.compile(rb'("(?:created|output_dir)": )"[^"]*"')
 _METADATA_COLUMNS = ("country", "continent", "year", "latitude", "longitude",
                      "is_test")
